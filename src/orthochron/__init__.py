@@ -22,9 +22,7 @@ from .trace_model import (
 )
 from .chronology import (
     TimeLine,
-    TimePoint,
     earlier,
-    interval_of_process,
     simultaneity,
     simultaneous,
     time_points,
@@ -81,7 +79,6 @@ __all__ = [
     "ProcessId",
     "Site",
     "TimeLine",
-    "TimePoint",
     "Top",
     "Trace",
     "TraceParseError",
@@ -95,7 +92,6 @@ __all__ = [
     "format_formula",
     "gen_random",
     "happened_before",
-    "interval_of_process",
     "is_closed",
     "ortho",
     "parse_formula",

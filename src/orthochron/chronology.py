@@ -45,19 +45,11 @@ def simultaneity(trace: Trace) -> dict[str, frozenset[str]]:
 
 
 @dataclass(frozen=True)
-class TimePoint:
-    members: frozenset[str]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.members
-
-
-@dataclass(frozen=True)
 class TimeLine:
-    """Time points in their linear order plus the canonical process order
-    (site index, then position) used for deterministic rendering."""
+    """Time points (member sets) in their linear order plus the canonical
+    process order (site index, then position) for deterministic rendering."""
 
-    points: tuple[TimePoint, ...]
+    points: tuple[frozenset[str], ...]
     process_order: tuple[str, ...]
 
     def __len__(self) -> int:
@@ -66,7 +58,7 @@ class TimeLine:
     def __iter__(self):
         return iter(self.points)
 
-    def __getitem__(self, index: int) -> TimePoint:
+    def __getitem__(self, index: int) -> frozenset[str]:
         return self.points[index]
 
     @cached_property
@@ -74,7 +66,7 @@ class TimeLine:
         return {name: i for i, name in enumerate(self.process_order)}
 
     def sorted_members(self, index: int) -> list[str]:
-        return sorted(self.points[index].members, key=self._rank.__getitem__)
+        return sorted(self.points[index], key=self._rank.__getitem__)
 
     def member_lists(self) -> list[list[str]]:
         return [self.sorted_members(i) for i in range(len(self.points))]
@@ -82,9 +74,7 @@ class TimeLine:
     def interval(self, name: str) -> frozenset[int]:
         if name not in self._rank:
             raise KeyError(name)
-        return frozenset(
-            i for i, point in enumerate(self.points) if name in point.members
-        )
+        return frozenset(i for i, point in enumerate(self.points) if name in point)
 
 
 def time_points(trace: Trace) -> TimeLine:
@@ -118,9 +108,5 @@ def time_points(trace: Trace) -> TimeLine:
                 cliques.append(frozenset(names[j] for j in active))
                 grew = False
             active.remove(i)
-    return TimeLine(tuple(TimePoint(members) for members in cliques), names)
+    return TimeLine(tuple(cliques), names)
 
-
-def interval_of_process(timeline: TimeLine, name: str) -> frozenset[int]:
-    """Indices of the time points containing the process; always contiguous."""
-    return timeline.interval(name)

@@ -11,9 +11,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
-from typing import IO
+from typing import IO, Iterable
 
 from . import __version__
 from .causal_core import CausalStructure, happened_before
@@ -26,39 +25,13 @@ from .ortholattice import (
     format_members,
     is_closed,
 )
-from .trace_model import gen_random, parse_trace, serialize_trace, validate
+from .trace_model import gen_random, parse_trace, serialize_trace, timing_problems, validate
 
 EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 1
 EXIT_ERROR = 2
 
-# identity templates used for atom-instantiated law checks (Boolean mode);
-# metavariables are the template atoms
-LAW_IDENTITIES: dict[str, list[tuple[str, str]]] = {
-    "ortholattice-axioms": [("~~a", "a"), ("a & ~a", "0"), ("a | ~a", "1")],
-    "de-morgan": [("~(a & b)", "~a | ~b"), ("~(a | b)", "~a & ~b")],
-    "distributivity": [("(a | b) & c", "(a & c) | (b & c)")],
-    "orthomodularity": [("a | (~a & (a | b))", "a | b")],
-}
-
 ORACLE_PROCESS_LIMIT = 20
-
-
-@dataclass
-class RunConfig:
-    """One CLI invocation, normalized."""
-
-    command: str
-    trace_path: str | None = None
-    format: str = "text"
-    semantics: str = "ortho"
-    formula: str | None = None
-    law: str | None = None
-    seed: int = 0
-    n_sites: int = 1
-    procs_per_site: int = 1
-    n_messages: int = 0
-    cap: int = DEFAULT_CAP
 
 
 def closed_sets_by_definition(cs: CausalStructure) -> set[frozenset[str]]:
@@ -119,33 +92,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        trace_path=getattr(args, "trace", None),
-        format=getattr(args, "format", "text"),
-        semantics=getattr(args, "semantics", "ortho"),
-        formula=getattr(args, "formula", None),
-        law=getattr(args, "law", None),
-        seed=getattr(args, "seed", 0),
-        n_sites=getattr(args, "sites", 1),
-        procs_per_site=getattr(args, "procs", 1),
-        n_messages=getattr(args, "messages", 0),
-        cap=getattr(args, "cap", DEFAULT_CAP),
-    )
-
-
-def _load_trace(config: RunConfig):
-    assert config.trace_path is not None
-    return parse_trace(Path(config.trace_path).read_text())
+def _load_trace(args: argparse.Namespace):
+    """Parse the trace and reject invalid timing; a timed trace that passes
+    these checks is acyclic, since starts strictly increase along every edge."""
+    trace = parse_trace(Path(args.trace).read_text())
+    problems = timing_problems(trace)
+    if problems:
+        raise ValueError(problems[0])
+    return trace
 
 
 def _point_label(index: int) -> str:
     return f"T{index + 1}"
 
 
-def _cmd_validate(config: RunConfig, out: IO[str]) -> int:
-    report = validate(_load_trace(config))
+def _point_set(indices: Iterable[int]) -> str:
+    return format_members(_point_label(i) for i in sorted(indices))
+
+
+def _cmd_validate(args: argparse.Namespace, out: IO[str]) -> int:
+    report = validate(parse_trace(Path(args.trace).read_text()))
     if not report:
         print("valid", file=out)
         return EXIT_OK
@@ -154,9 +120,9 @@ def _cmd_validate(config: RunConfig, out: IO[str]) -> int:
     return EXIT_ERROR
 
 
-def _cmd_timepoints(config: RunConfig, out: IO[str]) -> int:
-    timeline = time_points(_load_trace(config))
-    if config.format == "json":
+def _cmd_timepoints(args: argparse.Namespace, out: IO[str]) -> int:
+    timeline = time_points(_load_trace(args))
+    if args.format == "json":
         print(json.dumps(timeline.member_lists()), file=out)
     else:
         for i in range(len(timeline)):
@@ -173,10 +139,10 @@ def _matrix_lines(title: str, names: tuple[str, ...], row) -> list[str]:
     return lines
 
 
-def _cmd_hb(config: RunConfig, out: IO[str]) -> int:
-    cs = happened_before(_load_trace(config))
+def _cmd_hb(args: argparse.Namespace, out: IO[str]) -> int:
+    cs = happened_before(_load_trace(args))
     names = cs.names
-    if config.format == "json":
+    if args.format == "json":
         payload = {
             "happened_before": {
                 a: cs.sorted_names_of(cs.before_masks[i]) for i, a in enumerate(names)
@@ -194,11 +160,11 @@ def _cmd_hb(config: RunConfig, out: IO[str]) -> int:
     return EXIT_OK
 
 
-def _cmd_lattice(config: RunConfig, out: IO[str]) -> int:
-    lattice = enumerate_closed(happened_before(_load_trace(config)), cap=config.cap)
-    if config.format == "json":
+def _cmd_lattice(args: argparse.Namespace, out: IO[str]) -> int:
+    lattice = enumerate_closed(happened_before(_load_trace(args)), cap=args.cap)
+    if args.format == "json":
         print(json.dumps(lattice.to_json_dict()), file=out)
-    elif config.format == "dot":
+    elif args.format == "dot":
         out.write(lattice.to_dot())
     else:
         for mask in lattice.masks:
@@ -206,27 +172,22 @@ def _cmd_lattice(config: RunConfig, out: IO[str]) -> int:
     return EXIT_OK
 
 
-def _cmd_eval(config: RunConfig, out: IO[str]) -> int:
-    trace = _load_trace(config)
-    assert config.formula is not None
-    formula = parse_formula(config.formula)
-    if config.semantics == "boolean":
-        value = sorted(eval_boolean(formula, time_points(trace)))
+def _cmd_eval(args: argparse.Namespace, out: IO[str]) -> int:
+    trace = _load_trace(args)
+    formula = parse_formula(args.formula)
+    if args.semantics == "boolean":
+        value: list = sorted(eval_boolean(formula, time_points(trace)))
         closed = True
-        rendered = format_members(_point_label(i) for i in value)
-        payload_value: list = value
+        rendered = _point_set(value)
     else:
         cs = happened_before(trace)
         names = eval_ortho(formula, cs)
         closed = is_closed(cs, names)
-        ordered = cs.sorted_names_of(cs.mask_of(names))
-        rendered = format_members(ordered)
-        payload_value = ordered
-    if config.format == "json":
+        value = cs.sorted_names_of(cs.mask_of(names))
+        rendered = format_members(value)
+    if args.format == "json":
         print(
-            json.dumps(
-                {"semantics": config.semantics, "value": payload_value, "closed": closed}
-            ),
+            json.dumps({"semantics": args.semantics, "value": value, "closed": closed}),
             file=out,
         )
     else:
@@ -234,11 +195,10 @@ def _cmd_eval(config: RunConfig, out: IO[str]) -> int:
     return EXIT_OK
 
 
-def _cmd_laws(config: RunConfig, out: IO[str]) -> int:
-    trace = _load_trace(config)
-    assert config.law is not None
-    if config.semantics == "boolean":
-        for lhs, rhs in LAW_IDENTITIES[config.law]:
+def _cmd_laws(args: argparse.Namespace, out: IO[str]) -> int:
+    trace = _load_trace(args)
+    if args.semantics == "boolean":
+        for lhs, rhs in LAWS[args.law][0]:
             result = compare_laws(trace, (lhs, rhs), semantics="boolean")
             scope = (
                 f"exhaustive over {result.checked} instantiations"
@@ -247,26 +207,20 @@ def _cmd_laws(config: RunConfig, out: IO[str]) -> int:
             )
             if not result.holds:
                 assert result.counterexample is not None
-                print(f"{config.law}: counterexample to {lhs} = {rhs} ({scope})", file=out)
+                print(f"{args.law}: counterexample to {lhs} = {rhs} ({scope})", file=out)
                 for var, atom in result.counterexample.items():
                     print(f"  {var} = {atom}", file=out)
-                lhs_pts = format_members(
-                    _point_label(i) for i in sorted(result.lhs_value or ())
-                )
-                rhs_pts = format_members(
-                    _point_label(i) for i in sorted(result.rhs_value or ())
-                )
-                print(f"  {lhs} = {lhs_pts}", file=out)
-                print(f"  {rhs} = {rhs_pts}", file=out)
+                print(f"  {lhs} = {_point_set(result.lhs_value or ())}", file=out)
+                print(f"  {rhs} = {_point_set(result.rhs_value or ())}", file=out)
                 return EXIT_COUNTEREXAMPLE
-            print(f"{config.law}: {lhs} = {rhs} holds ({scope})", file=out)
+            print(f"{args.law}: {lhs} = {rhs} holds ({scope})", file=out)
         return EXIT_OK
-    lattice = enumerate_closed(happened_before(trace), cap=config.cap)
-    result = lattice.check_laws(config.law)
+    lattice = enumerate_closed(happened_before(trace), cap=args.cap)
+    result = lattice.check_laws(args.law)
     if result.holds:
-        print(f"{config.law}: holds ({len(lattice)} elements)", file=out)
+        print(f"{args.law}: holds ({len(lattice)} elements)", file=out)
         return EXIT_OK
-    print(f"{config.law}: counterexample", file=out)
+    print(f"{args.law}: counterexample", file=out)
     assert result.counterexample is not None
     for var, element in zip("abc", result.counterexample):
         ordered = lattice.structure.sorted_names_of(lattice.structure.mask_of(element))
@@ -275,14 +229,13 @@ def _cmd_laws(config: RunConfig, out: IO[str]) -> int:
     return EXIT_COUNTEREXAMPLE
 
 
-def _cmd_oracle(config: RunConfig, out: IO[str]) -> int:
-    cs = happened_before(_load_trace(config))
+def _cmd_oracle(args: argparse.Namespace, out: IO[str]) -> int:
+    cs = happened_before(_load_trace(args))
     if cs.size > ORACLE_PROCESS_LIMIT:
         raise ValueError(
             f"oracle is limited to {ORACLE_PROCESS_LIMIT} processes, trace has {cs.size}"
         )
-    lattice = enumerate_closed(cs, cap=config.cap)
-    fast = set(lattice.elements)
+    fast = set(enumerate_closed(cs).elements)
     brute = closed_sets_by_definition(cs)
     if fast == brute:
         print(f"match: fast enumeration = brute force ({len(fast)} elements)", file=out)
@@ -297,8 +250,8 @@ def _cmd_oracle(config: RunConfig, out: IO[str]) -> int:
     return EXIT_COUNTEREXAMPLE
 
 
-def _cmd_gen(config: RunConfig, out: IO[str]) -> int:
-    trace = gen_random(config.seed, config.n_sites, config.procs_per_site, config.n_messages)
+def _cmd_gen(args: argparse.Namespace, out: IO[str]) -> int:
+    trace = gen_random(args.seed, args.sites, args.procs, args.messages)
     out.write(serialize_trace(trace))
     return EXIT_OK
 
@@ -315,11 +268,11 @@ _COMMANDS = {
 }
 
 
-def run(config: RunConfig, out: IO[str] | None = None, err: IO[str] | None = None) -> int:
+def run(args: argparse.Namespace, out: IO[str] | None = None, err: IO[str] | None = None) -> int:
     out = sys.stdout if out is None else out
     err = sys.stderr if err is None else err
     try:
-        return _COMMANDS[config.command](config, out)
+        return _COMMANDS[args.command](args, out)
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=err)
         return EXIT_ERROR
@@ -331,7 +284,7 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    return run(config_from_args(args))
+    return run(args)
 
 
 if __name__ == "__main__":

@@ -37,8 +37,6 @@ __all__ = [
 
 DEFAULT_CAP = 1_000_000
 
-LAWS = ("ortholattice-axioms", "de-morgan", "distributivity", "orthomodularity")
-
 
 class CapExceededError(RuntimeError):
     """Closed-set enumeration grew past the configured cap."""
@@ -215,117 +213,13 @@ class OrthoLattice:
         Counterexamples are the first found scanning element tuples in
         lexicographic canonical-index order, which keeps them stable.
         """
-        if law == "ortholattice-axioms":
-            return self._check_axioms()
-        if law == "de-morgan":
-            return self._check_de_morgan()
-        if law == "distributivity":
-            return self._check_distributivity()
-        if law == "orthomodularity":
-            return self._check_orthomodularity()
-        raise ValueError(f"unknown law {law!r}; expected one of {', '.join(LAWS)}")
-
-    def _check_axioms(self) -> LawCheck:
-        law = "ortholattice-axioms"
-        n = len(self.masks)
-        comp = self.complement
-        down = self.downset_masks
-        if self.masks[0] != 0 or self.masks[-1] != self.structure.full_mask:
-            return LawCheck(law, False, (), "bottom or top missing")
-        for i in range(n):
-            if comp[comp[i]] != i:
-                return LawCheck(
-                    law,
-                    False,
-                    (self.elements[i],),
-                    f"complement not involutive at a = {self._fmt(i)}",
-                )
-            if self.masks[i] & self.masks[comp[i]] != 0:
-                return LawCheck(
-                    law, False, (self.elements[i],), f"a & ~a != {{}} at a = {self._fmt(i)}"
-                )
-            if self._join_index(i, comp[i]) != n - 1:
-                return LawCheck(
-                    law, False, (self.elements[i],), f"a | ~a != top at a = {self._fmt(i)}"
-                )
-        for i in range(n):
-            for j in range(n):
-                forward = bool(down[j] >> i & 1)
-                mirrored = bool(down[comp[i]] >> comp[j] & 1)
-                if forward != mirrored:
-                    return LawCheck(
-                        law,
-                        False,
-                        (self.elements[i], self.elements[j]),
-                        f"inclusion not antitone under complement at "
-                        f"a = {self._fmt(i)}, b = {self._fmt(j)}",
-                    )
-        return LawCheck(law, True)
-
-    def _check_de_morgan(self) -> LawCheck:
-        law = "de-morgan"
-        n = len(self.masks)
-        comp = self.complement
-        for i in range(n):
-            for j in range(n):
-                if comp[self._join_index(i, j)] != self._meet_index(comp[i], comp[j]):
-                    return LawCheck(
-                        law,
-                        False,
-                        (self.elements[i], self.elements[j]),
-                        f"~(a | b) != ~a & ~b at a = {self._fmt(i)}, b = {self._fmt(j)}",
-                    )
-                if comp[self._meet_index(i, j)] != self._join_index(comp[i], comp[j]):
-                    return LawCheck(
-                        law,
-                        False,
-                        (self.elements[i], self.elements[j]),
-                        f"~(a & b) != ~a | ~b at a = {self._fmt(i)}, b = {self._fmt(j)}",
-                    )
-        return LawCheck(law, True)
-
-    def _check_distributivity(self) -> LawCheck:
-        law = "distributivity"
-        n = len(self.masks)
-        masks = self.masks
-        for i in range(n):
-            for j in range(n):
-                join_mask = masks[self._join_index(i, j)]
-                for k in range(n):
-                    lhs = join_mask & masks[k]
-                    rhs_index = self._join_index(
-                        self._meet_index(i, k), self._meet_index(j, k)
-                    )
-                    if lhs != masks[rhs_index]:
-                        lhs_names = format_members(self.structure.sorted_names_of(lhs))
-                        return LawCheck(
-                            law,
-                            False,
-                            (self.elements[i], self.elements[j], self.elements[k]),
-                            f"(a | b) & c = {lhs_names} but "
-                            f"(a & c) | (b & c) = {self._fmt(rhs_index)}",
-                        )
-        return LawCheck(law, True)
-
-    def _check_orthomodularity(self) -> LawCheck:
-        law = "orthomodularity"
-        n = len(self.masks)
-        comp = self.complement
-        down = self.downset_masks
-        for i in range(n):
-            for j in range(n):
-                if not down[j] >> i & 1:
-                    continue
-                rhs = self._join_index(i, self._meet_index(comp[i], j))
-                if rhs != j:
-                    return LawCheck(
-                        law,
-                        False,
-                        (self.elements[i], self.elements[j]),
-                        f"a <= b but a | (~a & b) = {self._fmt(rhs)} != b "
-                        f"at a = {self._fmt(i)}, b = {self._fmt(j)}",
-                    )
-        return LawCheck(law, True)
+        if law not in LAWS:
+            raise ValueError(f"unknown law {law!r}; expected one of {', '.join(LAWS)}")
+        failure = LAWS[law][1](self)
+        if failure is None:
+            return LawCheck(law, True)
+        indices, detail = failure
+        return LawCheck(law, False, tuple(self.elements[i] for i in indices), detail)
 
     def to_json_dict(self) -> dict:
         return {
@@ -336,10 +230,92 @@ class OrthoLattice:
 
     def to_dot(self) -> str:
         lines = ["digraph ortholattice {", "  rankdir=BT;"]
-        for i, mask in enumerate(self.masks):
-            label = format_members(self.structure.sorted_names_of(mask))
-            lines.append(f'  n{i} [label="{label}"];')
+        for i in range(len(self.masks)):
+            lines.append(f'  n{i} [label="{self._fmt(i)}"];')
         for a, b in self.hasse_edges():
             lines.append(f"  n{a} -> n{b};")
         lines.append("}")
         return "\n".join(lines) + "\n"
+
+
+def _scan_axioms(lat: OrthoLattice):
+    n = len(lat.masks)
+    masks = lat.masks
+    comp = lat.complement
+    if masks[0] != 0 or masks[-1] != lat.structure.full_mask:
+        return (), "bottom or top missing"
+    for i in range(n):
+        if comp[comp[i]] != i:
+            return (i,), f"complement not involutive at a = {lat._fmt(i)}"
+        if masks[i] & masks[comp[i]] != 0:
+            return (i,), f"a & ~a != {{}} at a = {lat._fmt(i)}"
+        if lat._join_index(i, comp[i]) != n - 1:
+            return (i,), f"a | ~a != top at a = {lat._fmt(i)}"
+    for i in range(n):
+        for j in range(n):
+            forward = masks[i] & masks[j] == masks[i]
+            mirrored = masks[comp[j]] & masks[comp[i]] == masks[comp[j]]
+            if forward != mirrored:
+                return (i, j), (
+                    f"inclusion not antitone under complement at "
+                    f"a = {lat._fmt(i)}, b = {lat._fmt(j)}"
+                )
+    return None
+
+
+def _scan_de_morgan(lat: OrthoLattice):
+    n = len(lat.masks)
+    comp = lat.complement
+    for i in range(n):
+        for j in range(n):
+            if comp[lat._join_index(i, j)] != lat._meet_index(comp[i], comp[j]):
+                return (i, j), f"~(a | b) != ~a & ~b at a = {lat._fmt(i)}, b = {lat._fmt(j)}"
+            if comp[lat._meet_index(i, j)] != lat._join_index(comp[i], comp[j]):
+                return (i, j), f"~(a & b) != ~a | ~b at a = {lat._fmt(i)}, b = {lat._fmt(j)}"
+    return None
+
+
+def _scan_distributivity(lat: OrthoLattice):
+    n = len(lat.masks)
+    masks = lat.masks
+    for i in range(n):
+        for j in range(n):
+            join_mask = masks[lat._join_index(i, j)]
+            for k in range(n):
+                lhs = join_mask & masks[k]
+                rhs_index = lat._join_index(lat._meet_index(i, k), lat._meet_index(j, k))
+                if lhs != masks[rhs_index]:
+                    lhs_names = format_members(lat.structure.sorted_names_of(lhs))
+                    return (i, j, k), (
+                        f"(a | b) & c = {lhs_names} but "
+                        f"(a & c) | (b & c) = {lat._fmt(rhs_index)}"
+                    )
+    return None
+
+
+def _scan_orthomodularity(lat: OrthoLattice):
+    n = len(lat.masks)
+    masks = lat.masks
+    comp = lat.complement
+    for i in range(n):
+        for j in range(n):
+            if masks[i] & masks[j] != masks[i]:
+                continue
+            rhs = lat._join_index(i, lat._meet_index(comp[i], j))
+            if rhs != j:
+                return (i, j), (
+                    f"a <= b but a | (~a & b) = {lat._fmt(rhs)} != b "
+                    f"at a = {lat._fmt(i)}, b = {lat._fmt(j)}"
+                )
+    return None
+
+
+# law name -> (Boolean identity templates, lattice scan).  Template atoms are
+# metavariables instantiated with process names; a scan returns the first
+# failing (element indices, detail) in canonical-index order, or None.
+LAWS = {
+    "ortholattice-axioms": ((("~~a", "a"), ("a & ~a", "0"), ("a | ~a", "1")), _scan_axioms),
+    "de-morgan": ((("~(a & b)", "~a | ~b"), ("~(a | b)", "~a & ~b")), _scan_de_morgan),
+    "distributivity": ((("(a | b) & c", "(a & c) | (b & c)"),), _scan_distributivity),
+    "orthomodularity": ((("a | (~a & (a | b))", "a | b"),), _scan_orthomodularity),
+}

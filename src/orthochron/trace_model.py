@@ -302,6 +302,41 @@ def serialize_trace(trace: Trace) -> str:
     return "\n".join(lines) + "\n"
 
 
+def timing_problems(trace: Trace) -> list[str]:
+    """validate's timing entries: totality, durations, tiling, message order."""
+    if trace.timing is None:
+        return []
+    problems: list[str] = []
+    timing = trace.timing
+    for name in trace.names:
+        if name not in timing:
+            problems.append(f"partial timing: no entry for {name}")
+    for name in timing:
+        if name not in trace._by_name:
+            problems.append(f"time entry for unknown process {name}")
+    for site in trace.sites:
+        timed = [p for p in site.processes if p.name in timing]
+        for pid in timed:
+            start, end = timing[pid.name]
+            if end <= start:
+                problems.append(f"process {pid.name} has non-positive duration")
+        for a, b in zip(timed, timed[1:]):
+            end_a = timing[a.name][1]
+            start_b = timing[b.name][0]
+            if end_a < start_b:
+                problems.append(f"gap at site {site.name} between {a.name} and {b.name}")
+            elif end_a > start_b:
+                problems.append(f"overlap at site {site.name} between {a.name} and {b.name}")
+    for message in trace.messages:
+        s, r = message.sender.name, message.receiver.name
+        if s in timing and r in timing and timing[s][1] >= timing[r][0]:
+            problems.append(
+                f"message {s} -> {r} is not causally timed "
+                f"(sender ends at {timing[s][1]}, receiver starts at {timing[r][0]})"
+            )
+    return problems
+
+
 def validate(trace: Trace) -> list[str]:
     """Return violated invariants as human-readable entries; empty means valid.
 
@@ -336,34 +371,7 @@ def validate(trace: Trace) -> list[str]:
                 f"intra-site message {message.sender.name} -> {message.receiver.name}"
             )
 
-    if trace.timing is not None:
-        timing = trace.timing
-        for name in trace.names:
-            if name not in timing:
-                problems.append(f"partial timing: no entry for {name}")
-        for name in timing:
-            if name not in trace._by_name:
-                problems.append(f"time entry for unknown process {name}")
-        for site in trace.sites:
-            timed = [p for p in site.processes if p.name in timing]
-            for pid in timed:
-                start, end = timing[pid.name]
-                if end <= start:
-                    problems.append(f"process {pid.name} has non-positive duration")
-            for a, b in zip(timed, timed[1:]):
-                end_a = timing[a.name][1]
-                start_b = timing[b.name][0]
-                if end_a < start_b:
-                    problems.append(f"gap at site {site.name} between {a.name} and {b.name}")
-                elif end_a > start_b:
-                    problems.append(f"overlap at site {site.name} between {a.name} and {b.name}")
-        for message in trace.messages:
-            s, r = message.sender.name, message.receiver.name
-            if s in timing and r in timing and timing[s][1] >= timing[r][0]:
-                problems.append(
-                    f"message {s} -> {r} is not causally timed "
-                    f"(sender ends at {timing[s][1]}, receiver starts at {timing[r][0]})"
-                )
+    problems.extend(timing_problems(trace))
 
     if not problems:
         from .causal_core import CycleError, happened_before

@@ -22,7 +22,7 @@ from orthochron import (
     time_points,
     validate,
 )
-from orthochron.cli import RunConfig, closed_sets_by_definition, run
+from orthochron.cli import build_parser, closed_sets_by_definition, run
 
 from conftest import fixture_path, random_trace
 from fig7_family import DOCUMENTED, EXTRA, FULL
@@ -67,9 +67,9 @@ def criterion(number: int, description: str):
     RESULTS.append(f"criterion {number} PASS: {description}")
 
 
-def run_command(**fields) -> tuple[int, str]:
+def run_command(*argv: str) -> tuple[int, str]:
     out = io.StringIO()
-    code = run(RunConfig(**fields), out=out, err=out)
+    code = run(build_parser().parse_args(argv), out=out, err=out)
     return code, out.getvalue()
 
 
@@ -102,7 +102,7 @@ def test_criterion_01(fig2):
         assert timeline.interval("q1") == {0}
         assert timeline.interval("r1") == {0, 1, 2}
         path = str(fixture_path("fig2.trace"))
-        code, out = run_command(command="timepoints", trace_path=path)
+        code, out = run_command("timepoints", path)
         assert code == 0
         assert out.splitlines() == [
             f"T{i + 1}: " + " ".join(members) for i, members in enumerate(FIG2_POINTS)
@@ -112,9 +112,7 @@ def test_criterion_01(fig2):
             ("q1", "{T1}"),
             ("r1", "{T1, T2, T3}"),
         ):
-            code, out = run_command(
-                command="eval", trace_path=path, formula=atom, semantics="boolean"
-            )
+            code, out = run_command("eval", path, "--formula", atom, "--semantics", "boolean")
             assert (code, out) == (0, points + "\n")
         assert time.perf_counter() - started < 1.0
 
@@ -152,11 +150,7 @@ def test_criterion_03(fig7):
         assert value("p2 & q3") == frozenset()
         assert value("p3 & q3") == frozenset()
         assert value("(p2 & q3) | (p3 & q3)") == frozenset()
-        code, out = run_command(
-            command="laws",
-            trace_path=str(fixture_path("fig7.trace")),
-            law="distributivity",
-        )
+        code, out = run_command("laws", str(fixture_path("fig7.trace")), "--law", "distributivity")
         assert code == 1
         lines = out.splitlines()
         assert lines[0] == "distributivity: counterexample"

@@ -4,7 +4,6 @@ import pytest
 
 from orthochron import (
     UntimedTraceError,
-    interval_of_process,
     parse_trace,
     simultaneity,
     simultaneous,
@@ -38,7 +37,7 @@ def test_fig2_intervals(fig2):
     assert timeline.interval("p1") == {0, 1}
     assert timeline.interval("q1") == {0}
     assert timeline.interval("r1") == {0, 1, 2}
-    assert interval_of_process(timeline, "q5") == {9}
+    assert timeline.interval("q5") == {9}
 
 
 def test_single_site_gives_singleton_points(single_site):
@@ -101,7 +100,7 @@ def test_unknown_process_interval(fig2):
 def _check_linear_order(trace, timeline):
     # emitted order is the derived order: some member of the earlier point
     # precedes some member of the later one, and never the other way round
-    points = [set(point.members) for point in timeline]
+    points = [set(point) for point in timeline]
     for i in range(len(points)):
         for j in range(i + 1, len(points)):
             forward = any(
@@ -121,8 +120,8 @@ def _check_linear_order(trace, timeline):
 def test_sweep_matches_brute_force_cliques(seed):
     trace = random_trace(seed, seed % 3 + 1, seed % 3 + 1, seed % 4)
     timeline = time_points(trace)
-    assert {point.members for point in timeline} == brute_time_points(trace)
-    assert len({point.members for point in timeline}) == len(timeline)
+    assert set(timeline) == brute_time_points(trace)
+    assert len(set(timeline)) == len(timeline)
 
 
 @hypothesis.given(st.integers(min_value=1, max_value=10**9))
@@ -131,7 +130,7 @@ def test_time_point_shape_invariants(seed):
     timeline = time_points(trace)
     covered = set()
     for index in range(len(timeline)):
-        members = timeline[index].members
+        members = timeline[index]
         sites = [trace.process(name).site_index for name in members]
         assert len(sites) == len(set(sites))
         covered |= members

@@ -232,10 +232,62 @@ def test_laws_boolean_axiom_bundle(cli):
     assert out.count("holds") == 3
 
 
+def test_laws_orthomodularity_counterexample(cli):
+    code, out, _ = cli("laws", FIG7, "--law", "orthomodularity")
+    assert code == 1
+    assert out == (
+        "orthomodularity: counterexample\n"
+        "  a = {p1}\n"
+        "  b = {p1, q1, q2}\n"
+        "  a <= b but a | (~a & b) = {p1} != b at a = {p1}, b = {p1, q1, q2}\n"
+    )
+
+
+def test_laws_boolean_de_morgan(cli):
+    code, out, _ = cli("laws", FIG2, "--law", "de-morgan", "--semantics", "boolean")
+    assert code == 0
+    assert out == (
+        "de-morgan: ~(a & b) = ~a | ~b holds (exhaustive over 144 instantiations)\n"
+        "de-morgan: ~(a | b) = ~a & ~b holds (exhaustive over 144 instantiations)\n"
+    )
+
+
+def test_laws_boolean_orthomodularity(cli):
+    code, out, _ = cli(
+        "laws", FIG2, "--law", "orthomodularity", "--semantics", "boolean"
+    )
+    assert code == 0
+    assert out == (
+        "orthomodularity: a | (~a & (a | b)) = a | b holds "
+        "(exhaustive over 144 instantiations)\n"
+    )
+
+
 def test_laws_boolean_requires_timed_trace(cli):
     code, _, err = cli("laws", FIG5, "--law", "distributivity", "--semantics", "boolean")
     assert code == 2
     assert "error: " in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("timepoints",),
+        ("hb",),
+        ("eval", "--formula", "a1", "--semantics", "boolean"),
+        ("laws", "--law", "distributivity", "--semantics", "boolean"),
+    ],
+    ids=["timepoints", "hb", "eval-boolean", "laws-boolean"],
+)
+def test_invalid_timing_is_an_error(cli, tmp_path, argv):
+    bad = tmp_path / "backwards.trace"
+    bad.write_text(
+        "site s : a1 a2\nsite t : b1\n"
+        "time a1 = 2 .. 1\ntime a2 = 1 .. 3\ntime b1 = 0 .. 3\n"
+    )
+    code, out, err = cli(argv[0], str(bad), *argv[1:])
+    assert (code, out) == (2, "")
+    assert err == "error: process a1 has non-positive duration\n"
 
 
 def test_oracle_match(cli):

@@ -205,7 +205,9 @@ def test_check_laws_fig7(fig7_lattice):
         frozenset({"p1"}),
         frozenset({"p1", "q1", "q2"}),
     )
-    assert ortho_result.detail.startswith("a <= b but")
+    assert ortho_result.detail == (
+        "a <= b but a | (~a & b) = {p1} != b at a = {p1}, b = {p1, q1, q2}"
+    )
 
 
 def test_check_laws_mo2(mo2_lattice):
