@@ -165,8 +165,9 @@ def happened_before(trace: Trace) -> CausalStructure:
         for j in direct[i]:
             acc |= (1 << j) | reach[j]
         reach[i] = acc
-    causality = list(reach)
-    for i in range(n):
-        for j in _bit_indices(reach[i]):
-            causality[j] |= 1 << i
-    return CausalStructure(procs, tuple(reach), tuple(causality))
+    ancestors = [0] * n
+    for i in order:
+        for j in direct[i]:
+            ancestors[j] |= ancestors[i] | 1 << i
+    causality = tuple(r | a for r, a in zip(reach, ancestors))
+    return CausalStructure(procs, tuple(reach), causality)

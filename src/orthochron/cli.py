@@ -37,7 +37,7 @@ ORACLE_PROCESS_LIMIT = 20
 def closed_sets_by_definition(cs: CausalStructure) -> set[frozenset[str]]:
     """Brute-force closed-set family: filter every subset by the literal
     bi-orthogonality condition using plain quantifier loops over the
-    causality relation.  Independent of the worklist enumeration."""
+    causality relation.  Independent of the generator enumeration."""
     names = list(cs.names)
     related = {a: {b for b in names if cs.causally_related(a, b)} for a in names}
     family: set[frozenset[str]] = set()
@@ -198,8 +198,9 @@ def _cmd_eval(args: argparse.Namespace, out: IO[str]) -> int:
 def _cmd_laws(args: argparse.Namespace, out: IO[str]) -> int:
     trace = _load_trace(args)
     if args.semantics == "boolean":
+        timeline = time_points(trace)
         for lhs, rhs in LAWS[args.law][0]:
-            result = compare_laws(trace, (lhs, rhs), semantics="boolean")
+            result = compare_laws(timeline, (lhs, rhs))
             scope = (
                 f"exhaustive over {result.checked} instantiations"
                 if result.exhaustive

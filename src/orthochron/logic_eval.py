@@ -24,10 +24,9 @@ import random
 import re
 from dataclasses import dataclass
 
-from .causal_core import CausalStructure, happened_before
-from .chronology import TimeLine, time_points
+from .causal_core import CausalStructure
+from .chronology import TimeLine
 from .ortholattice import ortho_mask
-from .trace_model import Trace
 
 __all__ = [
     "Formula",
@@ -320,14 +319,14 @@ def _substitute(node: Formula, mapping: dict[str, str]) -> Formula:
 
 
 def compare_laws(
-    trace: Trace,
+    model: TimeLine | CausalStructure,
     identity: tuple[str, str],
-    semantics: str = "ortho",
     trials: int = 1000,
     seed: int = 0,
 ) -> LawComparison:
-    """Instantiate the identity's metavariables with the trace's atoms and
-    compare both sides under the requested semantics.
+    """Instantiate the identity's metavariables with the model's atoms and
+    compare both sides: under Boolean semantics on a TimeLine, under
+    orthologic on a CausalStructure.
 
     Runs exhaustively when the instantiation count is at most
     EXHAUSTIVE_LIMIT, otherwise samples ``trials`` assignments from
@@ -337,22 +336,10 @@ def compare_laws(
     lhs = parse_formula(lhs_source)
     rhs = parse_formula(rhs_source)
     metavars = _metavariables(lhs, rhs)
-    atoms = list(trace.names)
-
-    if semantics == "ortho":
-        cs = happened_before(trace)
-
-        def evaluate(node: Formula):
-            return eval_ortho(node, cs)
-
-    elif semantics == "boolean":
-        timeline = time_points(trace)
-
-        def evaluate(node: Formula):
-            return eval_boolean(node, timeline)
-
+    if isinstance(model, TimeLine):
+        semantics, atoms, evaluate = "boolean", model.process_order, eval_boolean
     else:
-        raise ValueError(f"unknown semantics {semantics!r}")
+        semantics, atoms, evaluate = "ortho", model.names, eval_ortho
 
     total = len(atoms) ** len(metavars)
     exhaustive = total <= EXHAUSTIVE_LIMIT
@@ -367,8 +354,8 @@ def compare_laws(
     checked = 0
     for combo in assignments:
         mapping = dict(zip(metavars, combo))
-        left = evaluate(_substitute(lhs, mapping))
-        right = evaluate(_substitute(rhs, mapping))
+        left = evaluate(_substitute(lhs, mapping), model)
+        right = evaluate(_substitute(rhs, mapping), model)
         checked += 1
         if left != right:
             return LawComparison(

@@ -5,7 +5,8 @@ The orthocomplement of a set is the intersection of the causality
 neighborhoods of its members (the empty intersection being the full process
 set).  Every orthocomplement is itself closed, so the closed sets are
 exactly the intersection closure of the neighborhoods together with the
-full set: a Moore family, enumerated by a pairwise-intersection worklist.
+full set: the Moore family generated by the P neighborhoods, enumerated by
+intersecting the family with one generator at a time.
 
 Meet is set intersection; join is the orthocomplement of the meet of the
 orthocomplements, equivalently the least closed superset of the union.
@@ -82,9 +83,10 @@ def _canonical_key(mask: int):
 def enumerate_closed(cs: CausalStructure, cap: int = DEFAULT_CAP) -> OrthoLattice:
     """Enumerate every closed set as a Moore family.
 
-    Seeds the worklist with the full set and all neighborhoods, then closes
-    under pairwise intersection.  Raises CapExceededError as soon as the
-    family exceeds ``cap`` elements.
+    Seeds the family with the full set and all neighborhoods, then, for each
+    neighborhood in turn, adds its intersection with every member so far;
+    after the last one the family is closed under intersection.  Raises
+    CapExceededError as soon as the family exceeds ``cap`` elements.
     """
     if cap <= 0:
         raise ValueError("cap must be positive")
@@ -92,16 +94,11 @@ def enumerate_closed(cs: CausalStructure, cap: int = DEFAULT_CAP) -> OrthoLattic
     family.update(cs.causality_masks)
     if len(family) > cap:
         raise CapExceededError(cap, len(family))
-    frontier = list(family)
-    while frontier:
-        a = frontier.pop()
-        for b in list(family):
-            c = a & b
-            if c not in family:
-                family.add(c)
-                frontier.append(c)
-                if len(family) > cap:
-                    raise CapExceededError(cap, len(family))
+    for generator in cs.causality_masks:
+        for member in list(family):
+            family.add(member & generator)
+            if len(family) > cap:
+                raise CapExceededError(cap, len(family))
     masks = tuple(sorted(family, key=_canonical_key))
     position = {m: i for i, m in enumerate(masks)}
     complement = tuple(position[ortho_mask(cs, m)] for m in masks)

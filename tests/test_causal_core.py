@@ -129,7 +129,10 @@ def test_mask_round_trip(fig7):
 def test_matches_fixpoint_closure_oracle(seed):
     trace = random_trace(seed, seed % 4 + 1, seed % 3 + 1, seed % 6)
     cs = happened_before(trace)
-    assert _pairs(cs) == brute_happened_before(trace)
+    before = brute_happened_before(trace)
+    assert _pairs(cs) == before
+    causality = {(a, b) for a in cs.names for b in cs.names if cs.causally_related(a, b)}
+    assert causality == before | {(b, a) for a, b in before}
 
 
 @hypothesis.given(st.integers(min_value=1, max_value=10**9))

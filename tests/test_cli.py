@@ -141,9 +141,12 @@ def test_lattice_dot(cli):
 
 
 def test_lattice_cap(cli):
-    code, _, err = cli("lattice", FIG2, "--cap", "3")
-    assert code == 2
-    assert "exceeded cap 3" in err
+    code, out, err = cli("lattice", FIG2, "--cap", "3")
+    assert (code, out, err) == (
+        2,
+        "",
+        "error: closed-set enumeration exceeded cap 3 (reached 13 elements)\n",
+    )
 
 
 def test_eval_ortho_text(cli):

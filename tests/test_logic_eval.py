@@ -194,18 +194,18 @@ def test_single_site_degenerates_to_boolean_sets(formula):
 
 
 def test_compare_laws_boolean_distributivity(fig2):
-    result = compare_laws(fig2, DISTRIBUTIVITY, semantics="boolean")
+    result = compare_laws(time_points(fig2), DISTRIBUTIVITY)
     assert result.holds
     assert result.exhaustive
     assert result.checked == result.total == 12**3
 
 
 def test_compare_laws_ortho_distributivity_first_failure(fig7):
-    result = compare_laws(fig7, DISTRIBUTIVITY, semantics="ortho")
+    cs = happened_before(fig7)
+    result = compare_laws(cs, DISTRIBUTIVITY)
     assert not result.holds
 
     # independently rescan the instantiations to find the first mismatch
-    cs = happened_before(fig7)
     expected = None
     count = 0
     for a, b, c in itertools.product(fig7.names, repeat=3):
@@ -224,30 +224,25 @@ def test_compare_laws_ortho_distributivity_first_failure(fig7):
 
 
 def test_compare_laws_ortho_de_morgan(fig7):
-    result = compare_laws(fig7, ("~(a & b)", "~a | ~b"), semantics="ortho")
+    result = compare_laws(happened_before(fig7), ("~(a & b)", "~a | ~b"))
     assert result.holds
     assert result.exhaustive
     assert result.checked == 144
 
 
 def test_compare_laws_double_negation(mo2):
-    result = compare_laws(mo2, ("~~a", "a"), semantics="ortho")
+    result = compare_laws(happened_before(mo2), ("~~a", "a"))
     assert result.holds
     assert result.checked == 4
 
 
 def test_compare_laws_samples_large_spaces():
-    trace = gen_random(5, 2, 11, 0)
+    cs = happened_before(gen_random(5, 2, 11, 0))
     identity = ("(a | b) | c", "a | (b | c)")
-    result = compare_laws(trace, identity, semantics="ortho", trials=50, seed=3)
+    result = compare_laws(cs, identity, trials=50, seed=3)
     assert result.holds
     assert not result.exhaustive
     assert result.total == 22**3
     assert result.checked == 50
-    again = compare_laws(trace, identity, semantics="ortho", trials=50, seed=3)
+    again = compare_laws(cs, identity, trials=50, seed=3)
     assert result == again
-
-
-def test_compare_laws_rejects_unknown_semantics(mo2):
-    with pytest.raises(ValueError):
-        compare_laws(mo2, DISTRIBUTIVITY, semantics="fuzzy")

@@ -238,6 +238,12 @@ def test_cap_guard(fig2):
     assert excinfo.value.count > 3
     with pytest.raises(ValueError):
         enumerate_closed(cs, cap=0)
+    lattice = enumerate_closed(cs)
+    assert len(lattice) == 52
+    assert enumerate_closed(cs, cap=len(lattice)).masks == lattice.masks
+    with pytest.raises(CapExceededError) as excinfo:
+        enumerate_closed(cs, cap=len(lattice) - 1)
+    assert excinfo.value.count == len(lattice)
 
 
 def test_enumeration_matches_brute_force_on_fixtures(fig2, fig5, mo2, single_site):

@@ -4,7 +4,10 @@ deletion would silently drop a layer from its per-layer figures."""
 import sys
 from pathlib import Path
 
+import pytest
+
 from orthochron.cli import main
+from orthochron.ortholattice import LAWS
 
 from conftest import fixture_path
 
@@ -27,3 +30,17 @@ def test_tracer_finds_every_layer(capsys):
     assert code == 1
     names = {span.name for span in tracer.spans}
     assert {"trace_model.parse", "ortholattice.check_laws"} <= names
+
+
+@pytest.mark.parametrize("law", list(LAWS))
+def test_boolean_laws_build_one_timeline(capsys, law):
+    tracer = Tracer()
+    tracer.install()
+    try:
+        tracer.request(
+            main, ["laws", str(fixture_path("fig2.trace")), "--law", law, "--semantics", "boolean"]
+        )
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert [s.name for s in tracer.spans].count("chronology.time_points") == 1
