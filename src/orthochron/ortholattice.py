@@ -6,7 +6,10 @@ neighborhoods of its members (the empty intersection being the full process
 set).  Every orthocomplement is itself closed, so the closed sets are
 exactly the intersection closure of the neighborhoods together with the
 full set: the Moore family generated by the P neighborhoods, enumerated by
-intersecting the family with one generator at a time.
+intersecting the family with one generator at a time.  The generators give
+the Hasse covers too: the lower covers of a closed y are the maximal sets
+y & N_p other than y, for a closed z strictly below y is the meet of the N_q,
+q in ortho(z); one misses y, so z lies in y & N_q, closed and below y.
 
 Meet is set intersection; join is the orthocomplement of the meet of the
 orthocomplements, equivalently the least closed superset of the union.
@@ -149,8 +152,8 @@ class OrthoLattice:
 
     @cached_property
     def downset_masks(self) -> tuple[int, ...]:
-        """For each element, the bitmask over element indices of all elements
-        included in it (itself included)."""
+        """The full inclusion relation, not used for rendering: for each element,
+        the bitmask over element indices of the elements included in it."""
         down = []
         for i, m in enumerate(self.masks):
             d = 0
@@ -188,18 +191,15 @@ class OrthoLattice:
         return self.complement[self._meet_index(self.complement[i], self.complement[j])]
 
     def hasse_edges(self) -> list[tuple[int, int]]:
-        """Cover pairs (lower index, upper index) of inclusion, ascending."""
+        """Cover pairs (lower index, upper index), ascending: the lower covers of
+        y are the maximal y & N_p != y, since any closed set strictly below y is in one."""
         edges = []
-        down = self.downset_masks
-        for b in range(len(self.masks)):
-            strict = down[b] & ~(1 << b)
-            shadowed = 0
-            for c in _bit_indices(strict):
-                shadowed |= down[c] & ~(1 << c)
-            for a in _bit_indices(strict & ~shadowed):
-                edges.append((a, b))
-        edges.sort()
-        return edges
+        for b, y in enumerate(self.masks):
+            below = {y & g for g in self.structure.causality_masks} - {y}
+            for z in below:
+                if not any(z & w == z and z != w for w in below):
+                    edges.append((self._position[z], b))
+        return sorted(edges)
 
     def _fmt(self, index: int) -> str:
         return format_members(self.structure.sorted_names_of(self.masks[index]))

@@ -62,3 +62,14 @@ def brute_closed_family(cs):
             if brute_ortho(cs, brute_ortho(cs, subset)) == subset:
                 family.add(subset)
     return family
+
+
+def brute_covers(family):
+    """Pairs (a, b) of members with a strictly inside b and no member
+    strictly between them, by comparing every triple."""
+    return {
+        (a, b)
+        for a in family
+        for b in family
+        if a < b and not any(a < c < b for c in family)
+    }

@@ -19,6 +19,46 @@ MO2_JSON = {
     "hasse": [[0, 1], [0, 2], [0, 3], [0, 4], [1, 5], [2, 5], [3, 5], [4, 5]],
 }
 
+# stdout of `lattice fig2 --format json`; the dot pin is built from its elements and edges
+FIG2_LATTICE_JSON = (
+    '{"elements": [[], ["p1"], ["p2"], ["p3"], ["p4"], ["q1"], ["q2"], ["q3"], '
+    '["q4"], ["q5"], ["r1"], ["r2"], ["r3"], ["p1", "p2"], ["p1", "p3"], ["p1", '
+    '"p4"], ["p2", "p3"], ["p2", "p4"], ["p3", "p4"], ["q1", "q2"], ["q1", "q3"], '
+    '["q1", "q4"], ["q1", "q5"], ["q2", "q3"], ["q2", "q4"], ["q2", "q5"], ["q3", '
+    '"q4"], ["q3", "q5"], ["q4", "q5"], ["r1", "r2"], ["r1", "r3"], ["r2", "r3"], '
+    '["p1", "p2", "p3"], ["p1", "p2", "p4"], ["p1", "p3", "p4"], ["p2", "p3", "p4"], '
+    '["q1", "q2", "q3"], ["q1", "q2", "q4"], ["q1", "q2", "q5"], ["q1", "q3", "q4"], '
+    '["q1", "q3", "q5"], ["q1", "q4", "q5"], ["q2", "q3", "q4"], ["q2", "q3", "q5"], '
+    '["q2", "q4", "q5"], ["q3", "q4", "q5"], ["q1", "q2", "q3", "q4"], ["q1", "q2", '
+    '"q3", "q5"], ["q1", "q2", "q4", "q5"], ["q1", "q3", "q4", "q5"], ["q2", "q3", '
+    '"q4", "q5"], ["p1", "p2", "p3", "p4", "q1", "q2", "q3", "q4", "q5", "r1", "r2", '
+    '"r3"]], "complement": [51, 35, 34, 33, 32, 50, 49, 48, 47, 46, 31, 30, 29, 18, '
+    "17, 16, 15, 14, 13, 45, 44, 43, 42, 41, 40, 39, 38, 37, 36, 12, 11, 10, 4, 3, 2, "
+    '1, 28, 27, 26, 25, 24, 23, 22, 21, 20, 19, 9, 8, 7, 6, 5, 0], "hasse": [[0, 1], '
+    "[0, 2], [0, 3], [0, 4], [0, 5], [0, 6], [0, 7], [0, 8], [0, 9], [0, 10], [0, "
+    "11], [0, 12], [1, 13], [1, 14], [1, 15], [2, 13], [2, 16], [2, 17], [3, 14], [3, "
+    "16], [3, 18], [4, 15], [4, 17], [4, 18], [5, 19], [5, 20], [5, 21], [5, 22], [6, "
+    "19], [6, 23], [6, 24], [6, 25], [7, 20], [7, 23], [7, 26], [7, 27], [8, 21], [8, "
+    "24], [8, 26], [8, 28], [9, 22], [9, 25], [9, 27], [9, 28], [10, 29], [10, 30], "
+    "[11, 29], [11, 31], [12, 30], [12, 31], [13, 32], [13, 33], [14, 32], [14, 34], "
+    "[15, 33], [15, 34], [16, 32], [16, 35], [17, 33], [17, 35], [18, 34], [18, 35], "
+    "[19, 36], [19, 37], [19, 38], [20, 36], [20, 39], [20, 40], [21, 37], [21, 39], "
+    "[21, 41], [22, 38], [22, 40], [22, 41], [23, 36], [23, 42], [23, 43], [24, 37], "
+    "[24, 42], [24, 44], [25, 38], [25, 43], [25, 44], [26, 39], [26, 42], [26, 45], "
+    "[27, 40], [27, 43], [27, 45], [28, 41], [28, 44], [28, 45], [29, 51], [30, 51], "
+    "[31, 51], [32, 51], [33, 51], [34, 51], [35, 51], [36, 46], [36, 47], [37, 46], "
+    "[37, 48], [38, 47], [38, 48], [39, 46], [39, 49], [40, 47], [40, 49], [41, 48], "
+    "[41, 49], [42, 46], [42, 50], [43, 47], [43, 50], [44, 48], [44, 50], [45, 49], "
+    "[45, 50], [46, 51], [47, 51], [48, 51], [49, 51], [50, 51]]}\n"
+)
+_FIG2_LATTICE = json.loads(FIG2_LATTICE_JSON)
+FIG2_LATTICE_DOT = "".join(
+    ["digraph ortholattice {\n", "  rankdir=BT;\n"]
+    + [f'  n{i} [label="{{{", ".join(e)}}}"];\n' for i, e in enumerate(_FIG2_LATTICE["elements"])]
+    + [f"  n{a} -> n{b};\n" for a, b in _FIG2_LATTICE["hasse"]]
+    + ["}\n"]
+)
+
 
 @pytest.fixture
 def cli(capsys):
@@ -138,6 +178,12 @@ def test_lattice_dot(cli):
     assert out.startswith("digraph")
     assert 'n1 [label="{p1}"];' in out
     assert "n4 -> n5;" in out
+
+
+@pytest.mark.parametrize("fmt", ["json", "dot"])
+def test_lattice_fig2_export_bytes(cli, fmt):
+    expected = FIG2_LATTICE_JSON if fmt == "json" else FIG2_LATTICE_DOT
+    assert cli("lattice", FIG2, "--format", fmt) == (0, expected, "")
 
 
 def test_lattice_cap(cli):

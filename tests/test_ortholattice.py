@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import hypothesis
@@ -8,6 +9,7 @@ from orthochron import (
     CapExceededError,
     close,
     enumerate_closed,
+    gen_random,
     happened_before,
     is_closed,
     ortho,
@@ -17,7 +19,7 @@ from orthochron.ortholattice import format_members
 
 from conftest import random_trace
 from fig7_family import DOCUMENTED, EXTRA, FULL
-from oracles import brute_closed_family, brute_ortho
+from oracles import brute_closed_family, brute_covers, brute_ortho
 
 MO2_ELEMENTS = (
     frozenset(),
@@ -184,6 +186,54 @@ def test_hasse_edges_are_covers(fig7_lattice):
         assert elements[a] < elements[b]
         for c in elements:
             assert not (elements[a] < c < elements[b])
+
+
+COVER_SHAPES = [(2, 4), (3, 3), (2, 5), (3, 4), (4, 3), (2, 6)]
+
+
+def _cover_case(kind, seed):
+    if kind == "boolean":
+        return gen_random(seed, 1, seed, 0)
+    n_sites, procs = COVER_SHAPES[seed % len(COVER_SHAPES)]
+    if kind == "timed":
+        return random_trace(seed, n_sites, procs, seed % 7)
+    return dataclasses.replace(random_trace(seed + 100, n_sites, procs, seed % 7), timing=None)
+
+
+@pytest.mark.parametrize("kind", ["timed", "untimed", "boolean"])
+@pytest.mark.parametrize("seed", range(1, 8))
+def test_hasse_edges_match_brute_covers(kind, seed):
+    cs = happened_before(_cover_case(kind, seed))
+    lattice = enumerate_closed(cs)
+    expected = [
+        (lattice.index_of(a), lattice.index_of(b))
+        for a, b in brute_covers(brute_closed_family(cs))
+    ]
+    assert lattice.hasse_edges() == sorted(expected)
+
+
+def _bits(mask):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def test_hasse_edges_boolean_2048():
+    lattice = enumerate_closed(happened_before(gen_random(11, 1, 11, 0)))
+    assert len(lattice) == 2**11
+    edges = lattice.hasse_edges()
+    assert len(edges) == 11 * 2**10
+    # reference: a strict subset that is not inside another strict subset
+    down = lattice.downset_masks
+    reference = []
+    for b in range(len(lattice)):
+        strict = down[b] & ~(1 << b)
+        shadowed = 0
+        for c in _bits(strict):
+            shadowed |= down[c] & ~(1 << c)
+        reference += [(a, b) for a in _bits(strict & ~shadowed)]
+    assert edges == sorted(reference)
 
 
 def test_check_laws_fig7(fig7_lattice):

@@ -44,3 +44,16 @@ def test_boolean_laws_build_one_timeline(capsys, law):
         tracer.uninstall()
     capsys.readouterr()
     assert [s.name for s in tracer.spans].count("chronology.time_points") == 1
+
+
+@pytest.mark.parametrize("fmt", ["json", "dot"])
+def test_lattice_export_opens_one_covers_span(capsys, fmt):
+    tracer = Tracer()
+    tracer.install()
+    try:
+        tracer.request(main, ["lattice", str(fixture_path("fig2.trace")), "--format", fmt])
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    # downset_masks opens this span too; rendering must not build it
+    assert [s.name for s in tracer.spans].count("ortholattice.covers") == 1
