@@ -277,6 +277,9 @@ def run(args: argparse.Namespace, out: IO[str] | None = None, err: IO[str] | Non
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=err)
         return EXIT_ERROR
+    except Exception as exc:  # a defect, still reported as one line, never a traceback
+        print(f"error: {exc!r}", file=err)
+        return EXIT_ERROR
 
 
 def main(argv: list[str] | None = None) -> int:

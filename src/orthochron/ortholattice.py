@@ -19,8 +19,10 @@ by sorted member ordinals.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import product
 from typing import Iterable
 
 from .causal_core import CausalStructure, _bit_indices
@@ -204,12 +206,22 @@ class OrthoLattice:
     def _fmt(self, index: int) -> str:
         return format_members(self.structure.sorted_names_of(self.masks[index]))
 
-    def check_laws(self, law: str) -> LawCheck:
-        """Exhaustively check one law over the whole lattice.
+    @cached_property
+    def _certified(self) -> bool:
+        """Whether this is the closed-set family of its structure, in O(n*P): the top is
+        full, every m & N_p is an element, the complement is ortho_mask and an involution."""
+        cs, pos, comp = self.structure, self._position, self.complement
+        return (
+            self.masks[-1] == cs.full_mask
+            and all((m & g) in pos for m in self.masks for g in cs.causality_masks)
+            and all(pos.get(ortho_mask(cs, m)) == c for m, c in zip(self.masks, comp, strict=True))
+            and all(comp[c] == i for i, c in enumerate(comp))
+        )
 
-        Counterexamples are the first found scanning element tuples in
-        lexicographic canonical-index order, which keeps them stable.
-        """
+    def check_laws(self, law: str) -> LawCheck:
+        """Decide one law over the whole lattice; only a failing law, or a lattice
+        that is not certified as a closed-set family, is scanned.  A counterexample
+        is the first failing tuple in lexicographic canonical-index order."""
         if law not in LAWS:
             raise ValueError(f"unknown law {law!r}; expected one of {', '.join(LAWS)}")
         failure = LAWS[law][1](self)
@@ -235,6 +247,16 @@ class OrthoLattice:
         return "\n".join(lines) + "\n"
 
 
+def _first_pair(lat: OrthoLattice, pairs, failure):
+    """The first of the (i, j) pairs where failure(i, j) names what fails, with the
+    detail "<what fails> at a = <i>, b = <j>"."""
+    for i, j in pairs:
+        what = failure(i, j)
+        if what:
+            return (i, j), f"{what} at a = {lat._fmt(i)}, b = {lat._fmt(j)}"
+    return None
+
+
 def _scan_axioms(lat: OrthoLattice):
     n = len(lat.masks)
     masks = lat.masks
@@ -248,38 +270,69 @@ def _scan_axioms(lat: OrthoLattice):
             return (i,), f"a & ~a != {{}} at a = {lat._fmt(i)}"
         if lat._join_index(i, comp[i]) != n - 1:
             return (i,), f"a | ~a != top at a = {lat._fmt(i)}"
-    for i in range(n):
-        for j in range(n):
-            forward = masks[i] & masks[j] == masks[i]
-            mirrored = masks[comp[j]] & masks[comp[i]] == masks[comp[j]]
-            if forward != mirrored:
-                return (i, j), (
-                    f"inclusion not antitone under complement at "
-                    f"a = {lat._fmt(i)}, b = {lat._fmt(j)}"
-                )
-    return None
+    if lat._certified:  # ortho_mask is antitone, and an involution on closed sets
+        return None
+
+    def antitone(i: int, j: int):
+        forward = masks[i] & masks[j] == masks[i]
+        mirrored = masks[comp[j]] & masks[comp[i]] == masks[comp[j]]
+        return "inclusion not antitone under complement" if forward != mirrored else None
+
+    return _first_pair(lat, product(range(n), repeat=2), antitone)
 
 
 def _scan_de_morgan(lat: OrthoLattice):
-    n = len(lat.masks)
+    if lat._certified:  # join is defined through the complement, an involution
+        return None
     comp = lat.complement
-    for i in range(n):
-        for j in range(n):
-            if comp[lat._join_index(i, j)] != lat._meet_index(comp[i], comp[j]):
-                return (i, j), f"~(a | b) != ~a & ~b at a = {lat._fmt(i)}, b = {lat._fmt(j)}"
-            if comp[lat._meet_index(i, j)] != lat._join_index(comp[i], comp[j]):
-                return (i, j), f"~(a & b) != ~a | ~b at a = {lat._fmt(i)}, b = {lat._fmt(j)}"
-    return None
+
+    def failure(i: int, j: int):
+        if comp[lat._join_index(i, j)] != lat._meet_index(comp[i], comp[j]):
+            return "~(a | b) != ~a & ~b"
+        if comp[lat._meet_index(i, j)] != lat._join_index(comp[i], comp[j]):
+            return "~(a & b) != ~a | ~b"
+        return None
+
+    return _first_pair(lat, product(range(len(lat.masks)), repeat=2), failure)
+
+
+def _distributive(lat: OrthoLattice) -> bool:
+    """Every join-irreducible (one lower cover) is join-prime: it is not below
+    the join of the join-irreducibles not above it (Davey & Priestley)."""
+    masks = lat.masks
+    comp = lat.complement
+    covers = Counter(upper for _, upper in lat.hasse_edges())
+    irreducible = [i for i, count in covers.items() if count == 1]
+    for j in irreducible:
+        rest = lat.structure.full_mask  # meet of the complements of the rest
+        for x in irreducible:
+            if masks[j] & masks[x] != masks[j]:
+                rest &= masks[comp[x]]
+        if masks[j] & masks[comp[lat._position[rest]]] == masks[j]:
+            return False
+    return True
 
 
 def _scan_distributivity(lat: OrthoLattice):
+    # a certified lattice skips the triples where the law holds in any lattice:
+    # a and b comparable, c <= a, c <= b, or c >= a | b
+    prune = lat._certified
+    if prune and _distributive(lat):
+        return None
     n = len(lat.masks)
     masks = lat.masks
     for i in range(n):
+        mi = masks[i]
         for j in range(n):
+            mj = masks[j]
+            if prune and mi & mj in (mi, mj):
+                continue
             join_mask = masks[lat._join_index(i, j)]
             for k in range(n):
-                lhs = join_mask & masks[k]
+                mk = masks[k]
+                if prune and (mk & mi == mk or mk & mj == mk or mk & join_mask == join_mask):
+                    continue
+                lhs = join_mask & mk
                 rhs_index = lat._join_index(lat._meet_index(i, k), lat._meet_index(j, k))
                 if lhs != masks[rhs_index]:
                     lhs_names = format_members(lat.structure.sorted_names_of(lhs))
@@ -291,25 +344,22 @@ def _scan_distributivity(lat: OrthoLattice):
 
 
 def _scan_orthomodularity(lat: OrthoLattice):
-    n = len(lat.masks)
     masks = lat.masks
     comp = lat.complement
-    for i in range(n):
-        for j in range(n):
-            if masks[i] & masks[j] != masks[i]:
-                continue
-            rhs = lat._join_index(i, lat._meet_index(comp[i], j))
-            if rhs != j:
-                return (i, j), (
-                    f"a <= b but a | (~a & b) = {lat._fmt(rhs)} != b "
-                    f"at a = {lat._fmt(i)}, b = {lat._fmt(j)}"
-                )
-    return None
+    below = ((i, j) for i, a in enumerate(masks) for j, b in enumerate(masks) if a & b == a)
+
+    def failure(i: int, j: int):
+        rhs = lat._join_index(i, lat._meet_index(comp[i], j))
+        return f"a <= b but a | (~a & b) = {lat._fmt(rhs)} != b" if rhs != j else None
+
+    return _first_pair(lat, below, failure)
 
 
-# law name -> (Boolean identity templates, lattice scan).  Template atoms are
-# metavariables instantiated with process names; a scan returns the first
-# failing (element indices, detail) in canonical-index order, or None.
+# law name -> (Boolean identity templates, lattice check).  Template atoms are
+# metavariables instantiated with process names; a check returns the first
+# failing (element indices, detail) in canonical-index order, or None.  On a
+# certified lattice De Morgan and antitone complements are theorems and
+# distributivity is decided; the rest is scanned.
 LAWS = {
     "ortholattice-axioms": ((("~~a", "a"), ("a & ~a", "0"), ("a | ~a", "1")), _scan_axioms),
     "de-morgan": ((("~(a & b)", "~a | ~b"), ("~(a | b)", "~a & ~b")), _scan_de_morgan),

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from orthochron import parse_trace
-from orthochron.cli import main
+from orthochron.cli import _COMMANDS, main
 
 from conftest import fixture_path
 
@@ -337,6 +337,16 @@ def test_invalid_timing_is_an_error(cli, tmp_path, argv):
     code, out, err = cli(argv[0], str(bad), *argv[1:])
     assert (code, out) == (2, "")
     assert err == "error: process a1 has non-positive duration\n"
+
+
+def test_unexpected_exception_is_one_error_line(cli, monkeypatch):
+    def broken(args, out):
+        raise KeyError("p9")
+
+    monkeypatch.setitem(_COMMANDS, "lattice", broken)
+    code, out, err = cli("lattice", MO2)
+    assert (code, out) == (2, "")
+    assert err.splitlines() == ["error: KeyError('p9')"]
 
 
 def test_oracle_match(cli):

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import time
 
 import hypothesis
 import hypothesis.strategies as st
@@ -15,11 +16,11 @@ from orthochron import (
     ortho,
     parse_trace,
 )
-from orthochron.ortholattice import format_members
+from orthochron.ortholattice import LAWS, LawCheck, OrthoLattice, format_members, ortho_mask
 
-from conftest import random_trace
+from conftest import load_fixture, random_trace
 from fig7_family import DOCUMENTED, EXTRA, FULL
-from oracles import brute_closed_family, brute_covers, brute_ortho
+from oracles import REFERENCE_SCANS, brute_closed_family, brute_covers, brute_ortho
 
 MO2_ELEMENTS = (
     frozenset(),
@@ -273,6 +274,109 @@ def test_check_laws_mo2(mo2_lattice):
         frozenset({"q1"}),
     )
     assert result.detail == "(a | b) & c = {q1} but (a & c) | (b & c) = {}"
+
+
+def _reference_check(lattice, law):
+    failure = REFERENCE_SCANS[law](lattice)
+    if failure is None:
+        return LawCheck(law, True)
+    indices, detail = failure
+    return LawCheck(law, False, tuple(lattice.elements[i] for i in indices), detail)
+
+
+def _law_case(kind, n):
+    if kind == "fixture":
+        return load_fixture(n)
+    if kind == "boolean":
+        return gen_random(n, 1, n, 0)
+    if kind == "nondistributive":
+        return random_trace(n, 2 + n % 2, 3 + n % 2, n % 4)
+    return random_trace(n, 2 + n % 3, 2 + n % 3, n % 4)
+
+
+LAW_CASES = (
+    [("fixture", "fig7.trace"), ("fixture", "mo2.trace")]
+    + [("boolean", n) for n in range(1, 9)]
+    + [("nondistributive", seed) for seed in range(1, 33)]
+    + [("mixed", seed) for seed in range(1, 13)]
+)
+
+
+@pytest.mark.parametrize("kind, n", LAW_CASES)
+def test_check_laws_match_reference_scans(kind, n):
+    lattice = enumerate_closed(happened_before(_law_case(kind, n)))
+    assert lattice._certified
+    for law in LAWS:
+        if law == "distributivity" and len(lattice) > 128:
+            # a Boolean algebra is distributive; the reference scan needs ~15 s here
+            expected = LawCheck(law, True)
+        else:
+            expected = _reference_check(lattice, law)
+        assert lattice.check_laws(law) == expected
+        if kind == "nondistributive" and law == "distributivity":
+            assert not expected.holds
+
+
+def _corrupt_lattices(mo2_lattice, fig7_lattice):
+    # the complement of mo2 is sent round a 4-cycle of its atoms: not an involution
+    cycled = OrthoLattice(mo2_lattice.structure, mo2_lattice.masks, (5, 2, 3, 4, 1, 0))
+    # identity complement on the 4-element Boolean lattice
+    square = enumerate_closed(happened_before(parse_trace("site s : a b\n")))
+    identity = OrthoLattice(square.structure, square.masks, (0, 1, 2, 3))
+    # fig7 with the pairs ({p1}, ~{p1}) and (x, ~x) re-paired as ({p1}, ~x) and
+    # (x, ~{p1}): an involution meeting a & ~a = 0 and a | ~a = top, not antitone
+    comp = list(fig7_lattice.complement)
+    a, x = 1, 5
+    not_a, not_x = comp[a], comp[x]
+    comp[a], comp[not_x], comp[x], comp[not_a] = not_x, a, not_a, x
+    repaired = OrthoLattice(fig7_lattice.structure, fig7_lattice.masks, tuple(comp))
+    # fig7 with the unclosed {p1, q1} added and every complement the ortho_mask
+    cs = fig7_lattice.structure
+    masks = fig7_lattice.masks[:-1] + (cs.mask_of({"p1", "q1"}), cs.full_mask)
+    position = {m: i for i, m in enumerate(masks)}
+    unclosed = OrthoLattice(cs, masks, tuple(position[ortho_mask(cs, m)] for m in masks))
+    # only the bottom and the top of mo2: not closed under meeting a neighbourhood
+    ends = OrthoLattice(mo2_lattice.structure, (0, mo2_lattice.structure.full_mask), (1, 0))
+    return [cycled, identity, repaired, unclosed, ends]
+
+
+def test_check_laws_falls_back_on_corrupt_lattices(mo2_lattice, fig7_lattice):
+    corrupt = _corrupt_lattices(mo2_lattice, fig7_lattice)
+    for lattice in corrupt:
+        assert not lattice._certified
+        for law in LAWS:
+            assert lattice.check_laws(law) == _reference_check(lattice, law)
+    cycled, identity, repaired = corrupt[:3]
+    assert cycled.check_laws("de-morgan").detail == "~(a | b) != ~a & ~b at a = {}, b = {p1}"
+    assert identity.check_laws("ortholattice-axioms").detail == "a | ~a != top at a = {}"
+    assert repaired.check_laws("ortholattice-axioms").detail == (
+        "inclusion not antitone under complement at a = {p1}, b = {p1, p2}"
+    )
+
+
+def test_law_decisions_scale():
+    boolean_512 = enumerate_closed(happened_before(gen_random(9, 1, 9, 0)))
+    start = time.perf_counter()
+    assert boolean_512.check_laws("distributivity").holds
+    assert time.perf_counter() - start < 2
+    boolean_2048 = enumerate_closed(happened_before(gen_random(11, 1, 11, 0)))
+    start = time.perf_counter()
+    assert boolean_2048.check_laws("de-morgan").holds
+    assert time.perf_counter() - start < 1
+
+
+def test_first_distributivity_counterexample_scale():
+    # 2,290 elements: the exhaustive triple scan takes several seconds to this triple
+    lattice = enumerate_closed(happened_before(gen_random(3, 6, 8, 10)))
+    start = time.perf_counter()
+    result = lattice.check_laws("distributivity")
+    assert time.perf_counter() - start < 2
+    assert result.counterexample == (
+        frozenset({"s1p1"}),
+        frozenset({"s2p1"}),
+        frozenset({"s1p2"}),
+    )
+    assert result.detail == "(a | b) & c = {s1p2} but (a & c) | (b & c) = {}"
 
 
 def test_check_laws_rejects_unknown_law(mo2_lattice):
