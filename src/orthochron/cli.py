@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from array import array
 from pathlib import Path
 from typing import IO, Iterable
 
@@ -35,20 +36,19 @@ ORACLE_PROCESS_LIMIT = 20
 
 
 def closed_sets_by_definition(cs: CausalStructure) -> set[frozenset[str]]:
-    """Brute-force closed-set family: filter every subset by the literal
-    bi-orthogonality condition using plain quantifier loops over the
-    causality relation.  Independent of the generator enumeration."""
-    names = list(cs.names)
-    related = {a: {b for b in names if cs.causally_related(a, b)} for a in names}
-    family: set[frozenset[str]] = set()
-    for bits in range(1 << len(names)):
-        subset = {names[i] for i in range(len(names)) if bits >> i & 1}
-        premise = [p for p in names if all(q in related[p] for q in subset)]
-        if all(
-            all(r in related[p] for p in premise) == (r in subset) for r in names
-        ):
-            family.add(frozenset(subset))
-    return family
+    """Brute-force closed-set family by the literal bi-orthogonality
+    condition on the causality rows: row[p] holds every r related to p and
+    col[q] every p whose row holds q.  prime[S] = AND of col[q] over q in S
+    and coprime[T] = AND of row[p] over p in T are tabulated over all 2^P
+    masks, one AND per entry, and S is closed iff coprime[prime[S]] == S.
+    Assumes no symmetry; independent of ortho_mask and the generator closure."""
+    rows = cs.causality_masks
+    cols = [sum(1 << p for p, row in enumerate(rows) if row >> q & 1) for q in range(cs.size)]
+    prime, coprime = array("I", [cs.full_mask]), array("I", [cs.full_mask])
+    for col, row in zip(cols, rows):
+        prime += array("I", map(col.__and__, prime))
+        coprime += array("I", map(row.__and__, coprime))
+    return {cs.names_of(s) for s, t in enumerate(prime) if coprime[t] == s}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -234,7 +234,8 @@ def _cmd_oracle(args: argparse.Namespace, out: IO[str]) -> int:
     cs = happened_before(_load_trace(args))
     if cs.size > ORACLE_PROCESS_LIMIT:
         raise ValueError(
-            f"oracle is limited to {ORACLE_PROCESS_LIMIT} processes, trace has {cs.size}"
+            "oracle tabulates all 2^P subsets and is limited to "
+            f"{ORACLE_PROCESS_LIMIT} processes, trace has {cs.size}"
         )
     fast = set(enumerate_closed(cs).elements)
     brute = closed_sets_by_definition(cs)

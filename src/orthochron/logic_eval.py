@@ -19,7 +19,9 @@ disjunction is the lattice join, so a formula's value is always closed.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 import random
 import re
 from dataclasses import dataclass
@@ -220,54 +222,75 @@ def format_formula(formula: Formula) -> str:
     return go(formula, 0)
 
 
+def _algebra(model: TimeLine | CausalStructure):
+    """The model's atoms, the value of one atom, and (complement, join, top)
+    on int masks: of time points on a TimeLine (Boolean semantics), of
+    processes on a CausalStructure (orthologic).  Meet is & and bottom 0."""
+    if isinstance(model, TimeLine):
+        top = (1 << len(model)) - 1
+
+        def value(name: str) -> int:
+            return sum(1 << i for i in model.interval(name))
+
+        return model.process_order, value, (top.__xor__, operator.or_, top)
+    complement = functools.cache(functools.partial(ortho_mask, model))
+
+    def value(name: str) -> int:
+        return complement(complement(1 << model.ordinal(name)))
+
+    def join(a: int, b: int) -> int:
+        return complement(complement(a) & complement(b))
+
+    return model.names, value, (complement, join, model.full_mask)
+
+
+def _compile(node: Formula, algebra, atoms: dict[str, None]):
+    """Closure from an atom -> value environment to the formula's value in
+    the algebra; adds the formula's atoms to ``atoms`` in order of first use."""
+    complement, join, top = algebra
+    if isinstance(node, Atom):
+        atoms.setdefault(node.name)
+        return operator.itemgetter(node.name)
+    if isinstance(node, Not):
+        child = _compile(node.child, algebra, atoms)
+        return lambda env: complement(child(env))
+    if isinstance(node, (And, Or)):
+        left = _compile(node.left, algebra, atoms)
+        right = _compile(node.right, algebra, atoms)
+        op = operator.and_ if isinstance(node, And) else join
+        return lambda env: op(left(env), right(env))
+    if isinstance(node, (Bottom, Top)):
+        constant = top if isinstance(node, Top) else 0
+        return lambda env: constant
+    raise TypeError(f"not a formula node: {node!r}")
+
+
+def _decode(model: TimeLine | CausalStructure, mask: int) -> frozenset:
+    """Time point indices or process names of a mask."""
+    if isinstance(model, TimeLine):
+        return frozenset(i for i in range(len(model)) if mask >> i & 1)
+    return model.names_of(mask)
+
+
+def _evaluate(formula: Formula, model: TimeLine | CausalStructure) -> frozenset:
+    _, value, algebra = _algebra(model)
+    atoms: dict[str, None] = {}
+    evaluate = _compile(formula, algebra, atoms)
+    try:
+        env = {name: value(name) for name in atoms}
+    except KeyError as exc:
+        raise ValueError(f"unknown atom {exc.args[0]!r}") from None
+    return _decode(model, evaluate(env))
+
+
 def eval_boolean(formula: Formula, timeline: TimeLine) -> frozenset[int]:
     """Set of time point indices at which the formula holds."""
-    universe = frozenset(range(len(timeline)))
-
-    def go(node: Formula) -> frozenset[int]:
-        if isinstance(node, Atom):
-            try:
-                return timeline.interval(node.name)
-            except KeyError:
-                raise ValueError(f"unknown atom {node.name!r}") from None
-        if isinstance(node, Not):
-            return universe - go(node.child)
-        if isinstance(node, And):
-            return go(node.left) & go(node.right)
-        if isinstance(node, Or):
-            return go(node.left) | go(node.right)
-        if isinstance(node, Bottom):
-            return frozenset()
-        if isinstance(node, Top):
-            return universe
-        raise TypeError(f"not a formula node: {node!r}")
-
-    return go(formula)
+    return _evaluate(formula, timeline)
 
 
 def eval_ortho(formula: Formula, cs: CausalStructure) -> frozenset[str]:
     """Closed process set denoted by the formula."""
-
-    def go(node: Formula) -> int:
-        if isinstance(node, Atom):
-            try:
-                bit = 1 << cs.ordinal(node.name)
-            except KeyError:
-                raise ValueError(f"unknown atom {node.name!r}") from None
-            return ortho_mask(cs, ortho_mask(cs, bit))
-        if isinstance(node, Not):
-            return ortho_mask(cs, go(node.child))
-        if isinstance(node, And):
-            return go(node.left) & go(node.right)
-        if isinstance(node, Or):
-            return ortho_mask(cs, ortho_mask(cs, go(node.left)) & ortho_mask(cs, go(node.right)))
-        if isinstance(node, Bottom):
-            return 0
-        if isinstance(node, Top):
-            return cs.full_mask
-        raise TypeError(f"not a formula node: {node!r}")
-
-    return cs.names_of(go(formula))
+    return _evaluate(formula, cs)
 
 
 EXHAUSTIVE_LIMIT = 10_000
@@ -289,35 +312,6 @@ class LawComparison:
     rhs_value: frozenset | None = None
 
 
-def _metavariables(*formulas: Formula) -> list[str]:
-    seen: dict[str, None] = {}
-
-    def walk(node: Formula):
-        if isinstance(node, Atom):
-            seen.setdefault(node.name)
-        elif isinstance(node, Not):
-            walk(node.child)
-        elif isinstance(node, (And, Or)):
-            walk(node.left)
-            walk(node.right)
-
-    for formula in formulas:
-        walk(formula)
-    return list(seen)
-
-
-def _substitute(node: Formula, mapping: dict[str, str]) -> Formula:
-    if isinstance(node, Atom):
-        return Atom(mapping[node.name])
-    if isinstance(node, Not):
-        return Not(_substitute(node.child, mapping))
-    if isinstance(node, And):
-        return And(_substitute(node.left, mapping), _substitute(node.right, mapping))
-    if isinstance(node, Or):
-        return Or(_substitute(node.left, mapping), _substitute(node.right, mapping))
-    return node
-
-
 def compare_laws(
     model: TimeLine | CausalStructure,
     identity: tuple[str, str],
@@ -333,13 +327,12 @@ def compare_laws(
     ``random.Random(seed)``; the report says which happened.
     """
     lhs_source, rhs_source = identity
-    lhs = parse_formula(lhs_source)
-    rhs = parse_formula(rhs_source)
-    metavars = _metavariables(lhs, rhs)
-    if isinstance(model, TimeLine):
-        semantics, atoms, evaluate = "boolean", model.process_order, eval_boolean
-    else:
-        semantics, atoms, evaluate = "ortho", model.names, eval_ortho
+    atoms, value, algebra = _algebra(model)
+    seen: dict[str, None] = {}
+    left_of = _compile(parse_formula(lhs_source), algebra, seen)
+    right_of = _compile(parse_formula(rhs_source), algebra, seen)
+    metavars = list(seen)
+    values = {atom: value(atom) for atom in atoms}
 
     total = len(atoms) ** len(metavars)
     exhaustive = total <= EXHAUSTIVE_LIMIT
@@ -352,30 +345,20 @@ def compare_laws(
         )
 
     checked = 0
+    failure = {}
     for combo in assignments:
-        mapping = dict(zip(metavars, combo))
-        left = evaluate(_substitute(lhs, mapping), model)
-        right = evaluate(_substitute(rhs, mapping), model)
+        env = {var: values[atom] for var, atom in zip(metavars, combo)}
+        left = left_of(env)
+        right = right_of(env)
         checked += 1
         if left != right:
-            return LawComparison(
-                lhs_source,
-                rhs_source,
-                semantics,
-                holds=False,
-                exhaustive=exhaustive,
-                checked=checked,
-                total=total,
-                counterexample=mapping,
-                lhs_value=left,
-                rhs_value=right,
-            )
+            failure = {
+                "counterexample": dict(zip(metavars, combo)),
+                "lhs_value": _decode(model, left),
+                "rhs_value": _decode(model, right),
+            }
+            break
+    semantics = "boolean" if isinstance(model, TimeLine) else "ortho"
     return LawComparison(
-        lhs_source,
-        rhs_source,
-        semantics,
-        holds=True,
-        exhaustive=exhaustive,
-        checked=checked,
-        total=total,
+        lhs_source, rhs_source, semantics, not failure, exhaustive, checked, total, **failure
     )

@@ -19,6 +19,8 @@ space around each token, which makes it byte-stable under re-parsing.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import random
 import re
 from dataclasses import dataclass
@@ -388,8 +390,10 @@ def gen_random(seed: int, n_sites: int, procs_per_site: int, n_messages: int) ->
 
     Integer timestamps are drawn first; messages are then sampled without
     replacement from the cross-site pairs with end(sender) < start(receiver),
-    which guarantees timed validity and acyclicity.  Raises
-    MessageBudgetError when fewer pairs exist than requested.
+    which guarantees timed validity and acyclicity.  The pairs, ordered by
+    sender and then receiver, are counted per sender and never listed; on
+    each other site a sender's receivers are the suffix that starts after it
+    ends.  Raises MessageBudgetError when fewer pairs exist than requested.
     """
     if n_sites < 1 or procs_per_site < 1:
         raise ValueError("need at least one site and one process per site")
@@ -409,13 +413,25 @@ def gen_random(seed: int, n_sites: int, procs_per_site: int, n_messages: int) ->
             procs.append(ProcessId(i, k, name))
         sites.append(Site(f"s{i + 1}", tuple(procs)))
     everyone = [p for site in sites for p in site.processes]
-    candidates = [
-        (a, b)
-        for a in everyone
-        for b in everyone
-        if a.site_index != b.site_index and timing[a.name][1] < timing[b.name][0]
-    ]
-    if n_messages > len(candidates):
-        raise MessageBudgetError(n_messages, len(candidates))
-    messages = tuple(Message(a, b) for a, b in rng.sample(candidates, n_messages))
-    return Trace(tuple(sites), messages, timing)
+    starts = [[timing[p.name][0] for p in site.processes] for site in sites]
+    ordered = sorted(timing[p.name][0] for p in everyone)
+
+    def later(row: list[Fraction], p: ProcessId) -> int:
+        """How many of the sorted starts in row come after p ends."""
+        return len(row) - bisect.bisect_right(row, timing[p.name][1])
+
+    counts = [later(ordered, a) - later(starts[a.site_index], a) for a in everyone]
+    cumulative = list(itertools.accumulate(counts))
+    if n_messages > cumulative[-1]:
+        raise MessageBudgetError(n_messages, cumulative[-1])
+    messages = []
+    for index in rng.sample(range(cumulative[-1]), n_messages):
+        sender = bisect.bisect_right(cumulative, index)
+        a, rest = everyone[sender], index - cumulative[sender] + counts[sender]
+        for j, site in enumerate(sites):
+            suffix = later(starts[j], a) if j != a.site_index else 0
+            if rest < suffix:
+                messages.append(Message(a, site.processes[len(site.processes) - suffix + rest]))
+                break
+            rest -= suffix
+    return Trace(tuple(sites), tuple(messages), timing)

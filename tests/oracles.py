@@ -1,14 +1,41 @@
 """Naive reference implementations used only by the tests.
 
 Everything here recomputes results directly from definitions, by plain
-enumeration over subsets, tuples or fixpoint iteration.  The law scans at the
-end try every element pair or triple of an ``OrthoLattice``, the reference for
-``OrthoLattice.check_laws``, which decides most verdicts without them.
+enumeration over subsets, tuples or fixpoint iteration.  The law scans try
+every element pair or triple of an ``OrthoLattice``, the reference for
+``OrthoLattice.check_laws``, which decides most verdicts without them.  The
+oracle filter, the two recursive evaluators, the substitution-based law
+comparison and the list-based trace generator at the end are the literal
+references for ``cli.closed_sets_by_definition``, ``eval_boolean``,
+``eval_ortho``, ``compare_laws`` and ``gen_random``.
 """
 
+import itertools
+import random
+from fractions import Fraction
 from itertools import combinations
 
-from orthochron.ortholattice import OrthoLattice, format_members
+from orthochron.chronology import TimeLine
+from orthochron.logic_eval import (
+    EXHAUSTIVE_LIMIT,
+    And,
+    Atom,
+    Bottom,
+    Formula,
+    LawComparison,
+    Not,
+    Or,
+    Top,
+    parse_formula,
+)
+from orthochron.ortholattice import OrthoLattice, format_members, ortho_mask
+from orthochron.trace_model import (
+    Message,
+    MessageBudgetError,
+    ProcessId,
+    Site,
+    Trace,
+)
 
 
 def brute_happened_before(trace):
@@ -156,3 +183,184 @@ REFERENCE_SCANS = {
     "distributivity": _scan_distributivity,
     "orthomodularity": _scan_orthomodularity,
 }
+
+
+def closed_sets_by_definition(cs):
+    """Brute-force closed-set family: filter every subset by the literal
+    bi-orthogonality condition using plain quantifier loops over the
+    causality relation.  Independent of the generator enumeration."""
+    names = list(cs.names)
+    related = {a: {b for b in names if cs.causally_related(a, b)} for a in names}
+    family = set()
+    for bits in range(1 << len(names)):
+        subset = {names[i] for i in range(len(names)) if bits >> i & 1}
+        premise = [p for p in names if all(q in related[p] for q in subset)]
+        if all(
+            all(r in related[p] for p in premise) == (r in subset) for r in names
+        ):
+            family.add(frozenset(subset))
+    return family
+
+
+def eval_boolean(formula, timeline):
+    """Set of time point indices at which the formula holds, by recursion."""
+    universe = frozenset(range(len(timeline)))
+
+    def go(node):
+        if isinstance(node, Atom):
+            try:
+                return timeline.interval(node.name)
+            except KeyError:
+                raise ValueError(f"unknown atom {node.name!r}") from None
+        if isinstance(node, Not):
+            return universe - go(node.child)
+        if isinstance(node, And):
+            return go(node.left) & go(node.right)
+        if isinstance(node, Or):
+            return go(node.left) | go(node.right)
+        if isinstance(node, Bottom):
+            return frozenset()
+        if isinstance(node, Top):
+            return universe
+        raise TypeError(f"not a formula node: {node!r}")
+
+    return go(formula)
+
+
+def eval_ortho(formula, cs):
+    """Closed process set denoted by the formula, by recursion."""
+
+    def go(node):
+        if isinstance(node, Atom):
+            try:
+                bit = 1 << cs.ordinal(node.name)
+            except KeyError:
+                raise ValueError(f"unknown atom {node.name!r}") from None
+            return ortho_mask(cs, ortho_mask(cs, bit))
+        if isinstance(node, Not):
+            return ortho_mask(cs, go(node.child))
+        if isinstance(node, And):
+            return go(node.left) & go(node.right)
+        if isinstance(node, Or):
+            return ortho_mask(cs, ortho_mask(cs, go(node.left)) & ortho_mask(cs, go(node.right)))
+        if isinstance(node, Bottom):
+            return 0
+        if isinstance(node, Top):
+            return cs.full_mask
+        raise TypeError(f"not a formula node: {node!r}")
+
+    return cs.names_of(go(formula))
+
+
+def _metavariables(*formulas):
+    seen = {}
+
+    def walk(node):
+        if isinstance(node, Atom):
+            seen.setdefault(node.name)
+        elif isinstance(node, Not):
+            walk(node.child)
+        elif isinstance(node, (And, Or)):
+            walk(node.left)
+            walk(node.right)
+
+    for formula in formulas:
+        walk(formula)
+    return list(seen)
+
+
+def _substitute(node: Formula, mapping):
+    if isinstance(node, Atom):
+        return Atom(mapping[node.name])
+    if isinstance(node, Not):
+        return Not(_substitute(node.child, mapping))
+    if isinstance(node, And):
+        return And(_substitute(node.left, mapping), _substitute(node.right, mapping))
+    if isinstance(node, Or):
+        return Or(_substitute(node.left, mapping), _substitute(node.right, mapping))
+    return node
+
+
+def compare_laws(model, identity, trials=1000, seed=0):
+    """Substitute every assignment of atoms into both sides of the identity
+    and evaluate the substituted formulas with the recursive evaluators."""
+    lhs_source, rhs_source = identity
+    lhs = parse_formula(lhs_source)
+    rhs = parse_formula(rhs_source)
+    metavars = _metavariables(lhs, rhs)
+    if isinstance(model, TimeLine):
+        semantics, atoms, evaluate = "boolean", model.process_order, eval_boolean
+    else:
+        semantics, atoms, evaluate = "ortho", model.names, eval_ortho
+
+    total = len(atoms) ** len(metavars)
+    exhaustive = total <= EXHAUSTIVE_LIMIT
+    if exhaustive:
+        assignments = itertools.product(atoms, repeat=len(metavars))
+    else:
+        rng = random.Random(seed)
+        assignments = (
+            tuple(rng.choice(atoms) for _ in metavars) for _ in range(trials)
+        )
+
+    checked = 0
+    for combo in assignments:
+        mapping = dict(zip(metavars, combo))
+        left = evaluate(_substitute(lhs, mapping), model)
+        right = evaluate(_substitute(rhs, mapping), model)
+        checked += 1
+        if left != right:
+            return LawComparison(
+                lhs_source,
+                rhs_source,
+                semantics,
+                holds=False,
+                exhaustive=exhaustive,
+                checked=checked,
+                total=total,
+                counterexample=mapping,
+                lhs_value=left,
+                rhs_value=right,
+            )
+    return LawComparison(
+        lhs_source,
+        rhs_source,
+        semantics,
+        holds=True,
+        exhaustive=exhaustive,
+        checked=checked,
+        total=total,
+    )
+
+
+def gen_random(seed, n_sites, procs_per_site, n_messages):
+    """Generate a timed trace, sampling its messages from the full list of
+    cross-site pairs with end(sender) < start(receiver)."""
+    if n_sites < 1 or procs_per_site < 1:
+        raise ValueError("need at least one site and one process per site")
+    if n_messages < 0:
+        raise ValueError("n_messages must be non-negative")
+    rng = random.Random(seed)
+    sites = []
+    timing = {}
+    for i in range(n_sites):
+        clock = Fraction(rng.randint(0, 3))
+        procs = []
+        for k in range(procs_per_site):
+            name = f"s{i + 1}p{k + 1}"
+            duration = rng.randint(1, 3)
+            timing[name] = (clock, clock + duration)
+            clock += duration
+            procs.append(ProcessId(i, k, name))
+        sites.append(Site(f"s{i + 1}", tuple(procs)))
+    everyone = [p for site in sites for p in site.processes]
+    candidates = [
+        (a, b)
+        for a in everyone
+        for b in everyone
+        if a.site_index != b.site_index and timing[a.name][1] < timing[b.name][0]
+    ]
+    if n_messages > len(candidates):
+        raise MessageBudgetError(n_messages, len(candidates))
+    messages = tuple(Message(a, b) for a, b in rng.sample(candidates, n_messages))
+    return Trace(tuple(sites), messages, timing)

@@ -1,11 +1,14 @@
 import json
+import random
+import time
 
 import pytest
 
-from orthochron import parse_trace
-from orthochron.cli import _COMMANDS, main
+from orthochron import CausalStructure, ProcessId, happened_before, parse_trace
+from orthochron.cli import _COMMANDS, closed_sets_by_definition, main
 
-from conftest import fixture_path
+import oracles
+from conftest import fixture_path, random_trace
 
 FIG2 = str(fixture_path("fig2.trace"))
 FIG5 = str(fixture_path("fig5.trace"))
@@ -414,3 +417,50 @@ def test_output_is_byte_stable(cli):
     first = cli("lattice", FIG7, "--format", "json")
     second = cli("lattice", FIG7, "--format", "json")
     assert first == second
+
+
+def test_oracle_limit_states_the_bound(cli, tmp_path):
+    code, out, _ = cli("gen", "--seed", "2", "--sites", "3", "--procs", "7", "--messages", "1")
+    big = tmp_path / "big.trace"
+    big.write_text(out)
+    code, out, err = cli("oracle", str(big))
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: oracle tabulates all 2^P subsets and is limited to 20 processes, "
+        "trace has 21\n"
+    )
+
+
+def test_oracle_at_the_process_limit_is_fast(cli, tmp_path):
+    code, out, _ = cli("gen", "--seed", "3", "--sites", "4", "--procs", "5", "--messages", "4")
+    trace = tmp_path / "twenty.trace"
+    trace.write_text(out)
+    started = time.perf_counter()
+    code, out, _ = cli("oracle", str(trace))
+    assert time.perf_counter() - started < 3.0
+    assert code == 0
+    assert out.startswith("match: fast enumeration = brute force (")
+
+
+@pytest.mark.parametrize(
+    "shape", [(s, n_sites, procs, s % 6) for s in range(1, 6) for n_sites, procs in
+              ((1, 5), (2, 3), (2, 6), (3, 4), (4, 3))],
+)
+def test_oracle_matches_literal_reference_on_random_traces(shape):
+    cs = happened_before(random_trace(*shape))
+    assert cs.size <= 12
+    assert closed_sets_by_definition(cs) == oracles.closed_sets_by_definition(cs)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_oracle_reads_asymmetric_rows_literally(seed):
+    """Rows and columns differ once causality is not symmetric, so the
+    tabulated primes must use them the way the definition does."""
+    rng = random.Random(seed)
+    size = 6 + seed % 3
+    processes = tuple(ProcessId(0, k, f"p{k}") for k in range(size))
+    rows = tuple(rng.getrandbits(size) for _ in range(size))
+    cs = CausalStructure(processes, (0,) * size, rows)
+    assert any(cs.causally_related(a, b) != cs.causally_related(b, a)
+               for a in cs.names for b in cs.names)
+    assert closed_sets_by_definition(cs) == oracles.closed_sets_by_definition(cs)

@@ -5,6 +5,7 @@ import hypothesis.strategies as st
 import pytest
 
 from orthochron import (
+    LAWS,
     And,
     Atom,
     Bottom,
@@ -23,6 +24,10 @@ from orthochron import (
     parse_trace,
     time_points,
 )
+from orthochron.logic_eval import EXHAUSTIVE_LIMIT
+
+import oracles
+from conftest import random_trace
 
 DISTRIBUTIVITY = ("(a | b) & c", "(a & c) | (b & c)")
 
@@ -246,3 +251,64 @@ def test_compare_laws_samples_large_spaces():
     assert result.checked == 50
     again = compare_laws(cs, identity, trials=50, seed=3)
     assert result == again
+
+
+def _outcome(evaluate, formula, model):
+    try:
+        return evaluate(formula, model)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@hypothesis.given(formulas(["p1", "q1", "r1", "zz", "yy"]))
+def test_eval_boolean_matches_recursive_reference(fig2, formula):
+    timeline = time_points(fig2)
+    expected = _outcome(oracles.eval_boolean, formula, timeline)
+    assert _outcome(eval_boolean, formula, timeline) == expected
+
+
+@hypothesis.given(formulas(["p1", "q1", "q2", "zz", "yy"]))
+def test_eval_ortho_matches_recursive_reference(fig7, formula):
+    cs = happened_before(fig7)
+    assert _outcome(eval_ortho, formula, cs) == _outcome(oracles.eval_ortho, formula, cs)
+
+
+def _law_models(traces):
+    for trace in traces:
+        if trace.timing is not None:
+            yield time_points(trace)
+        yield happened_before(trace)
+
+
+TEMPLATES = [identity for law in LAWS for identity in LAWS[law][0]]
+
+
+def test_compare_laws_matches_substitution_reference_exhaustively(fig2, fig5, fig7, mo2):
+    traces = [fig2, fig5, fig7, mo2] + [
+        random_trace(seed, 1 + seed % 3, 1 + seed % 4, seed % 5) for seed in range(1, 9)
+    ]
+    failures = 0
+    for model in _law_models(traces):
+        for identity in TEMPLATES:
+            result = compare_laws(model, identity)
+            assert result.exhaustive
+            assert result == oracles.compare_laws(model, identity), identity
+            failures += not result.holds
+    assert failures > 0
+
+
+def _arity(identity):
+    return len({char for char in identity[0] + identity[1] if char.isalpha()})
+
+
+@pytest.mark.parametrize("identity", [i for i in TEMPLATES if _arity(i) > 1])
+def test_compare_laws_matches_substitution_reference_when_sampled(identity):
+    """Sampling needs more than EXHAUSTIVE_LIMIT instantiations: 22 atoms for
+    three metavariables, 101 for two (one metavariable never samples)."""
+    trace = gen_random(7, 2, 11, 6) if _arity(identity) == 3 else gen_random(7, 4, 26, 6)
+    for model in _law_models([trace]):
+        for seed in (0, 5):
+            result = compare_laws(model, identity, trials=150, seed=seed)
+            assert not result.exhaustive
+            assert result.total > EXHAUSTIVE_LIMIT
+            assert result == oracles.compare_laws(model, identity, trials=150, seed=seed)

@@ -1,4 +1,6 @@
 import dataclasses
+import itertools
+import time
 from fractions import Fraction
 
 import hypothesis
@@ -18,6 +20,7 @@ from orthochron import (
     validate,
 )
 
+import oracles
 from conftest import fixture_text, random_trace
 
 
@@ -228,3 +231,25 @@ def test_untimed_variant_of_generated_trace_is_valid():
     untimed = dataclasses.replace(trace, timing=None)
     assert not untimed.is_timed
     assert validate(untimed) == []
+
+
+def _generated(generate, *shape):
+    try:
+        return serialize_trace(generate(*shape))
+    except MessageBudgetError as exc:
+        return ("budget", exc.requested, exc.available)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_gen_random_matches_list_based_reference(seed):
+    for n_sites, procs, messages in itertools.product((1, 2, 3, 5), (1, 2, 4, 7), (0, 1, 4, 30)):
+        shape = (seed, n_sites, procs, messages)
+        assert _generated(gen_random, *shape) == _generated(oracles.gen_random, *shape), shape
+
+
+def test_gen_random_scales_without_listing_pairs():
+    started = time.perf_counter()
+    trace = gen_random(0, 2, 3000, 10)
+    assert time.perf_counter() - started < 3.0
+    assert len(trace.processes) == 6000
+    assert len(trace.messages) == 10
