@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 from typing import Iterable
 
 from .trace_model import ProcessId, Trace
@@ -59,10 +60,10 @@ class CausalStructure:
         return mask
 
     def names_of(self, mask: int) -> frozenset[str]:
-        return frozenset(self.names[i] for i in _bit_indices(mask))
+        return frozenset(compress(self.names, _selectors(mask)))
 
     def sorted_names_of(self, mask: int) -> list[str]:
-        return [self.names[i] for i in _bit_indices(mask)]
+        return list(compress(self.names, _selectors(mask)))
 
     def happened_before(self, p: str, q: str) -> bool:
         return bool(self.before_masks[self.ordinal(p)] >> self.ordinal(q) & 1)
@@ -85,6 +86,14 @@ class CausalStructure:
         for q in cover_list:
             premise &= self.causality_masks[self.ordinal(q)]
         return premise & ~self.causality_masks[self.ordinal(r)] == 0
+
+
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
+def _selectors(mask: int) -> bytes:
+    """One byte per ordinal, lowest first: 1 where the mask has the bit."""
+    return bin(mask)[:1:-1].encode().translate(_BIT_BYTES)
 
 
 def _bit_indices(mask: int) -> list[int]:

@@ -87,11 +87,12 @@ def time_points(trace: Trace) -> TimeLine:
     yields exactly the maximal cliques, each once, ordered by their common
     overlap window.
     """
-    timing = _timing(trace)
+    _timing(trace)
+    ticks = trace.ticks
     names = trace.names
     events = []
     for i, name in enumerate(names):
-        start, end = timing[name]
+        start, end = ticks[name]
         events.append((end, 0, i))
         events.append((start, 1, i))
     events.sort()
@@ -105,7 +106,7 @@ def time_points(trace: Trace) -> TimeLine:
             grew = True
         else:
             if grew:
-                cliques.append(frozenset(names[j] for j in active))
+                cliques.append(frozenset(map(names.__getitem__, active)))
                 grew = False
             active.remove(i)
     return TimeLine(tuple(cliques), names)

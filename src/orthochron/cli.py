@@ -130,12 +130,15 @@ def _cmd_timepoints(args: argparse.Namespace, out: IO[str]) -> int:
     return EXIT_OK
 
 
-def _matrix_lines(title: str, names: tuple[str, ...], row) -> list[str]:
+def _matrix_lines(title: str, names: tuple[str, ...], rows: tuple[int, ...]) -> list[str]:
+    """The 0/1 matrix of the row masks: each cell is one bit, right-aligned
+    to the widest name."""
     width = max(len(n) for n in names)
     lines = [title, " " * (width + 2) + " ".join(n.rjust(width) for n in names)]
-    for a in names:
-        cells = " ".join(("1" if row(a, b) else "0").rjust(width) for b in names)
-        lines.append(f"  {a.rjust(width)} {cells}")
+    gap, pad = " " * width, " " * (width - 1)
+    for a, mask in zip(names, rows):
+        bits = bin(mask)[:1:-1].ljust(len(names), "0")
+        lines.append(f"  {a.rjust(width)} {pad}{gap.join(bits)}")
     return lines
 
 
@@ -153,9 +156,9 @@ def _cmd_hb(args: argparse.Namespace, out: IO[str]) -> int:
         }
         print(json.dumps(payload), file=out)
     else:
-        for line in _matrix_lines("happened-before", names, cs.happened_before):
+        for line in _matrix_lines("happened-before", names, cs.before_masks):
             print(line, file=out)
-        for line in _matrix_lines("causality", names, cs.causally_related):
+        for line in _matrix_lines("causality", names, cs.causality_masks):
             print(line, file=out)
     return EXIT_OK
 

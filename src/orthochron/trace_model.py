@@ -2,7 +2,8 @@
 and optional exact-rational timing.
 
 Trace files are line oriented.  ``#`` starts a comment, blank lines are
-ignored, and ``site`` lines must precede ``msg`` and ``time`` lines::
+ignored, tokens are separated by spaces or tabs (punctuation needs none),
+and ``site`` lines must precede ``msg`` and ``time`` lines::
 
     site x : p1 p2 p3
     site y : q1 q2
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import math
 import random
 import re
 from dataclasses import dataclass
@@ -42,12 +44,26 @@ __all__ = [
     "gen_random",
 ]
 
-NAME_PATTERN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+_NUMBER = r"[+-]?\d+(?:\.\d+)?"
+_KEYWORD = "'site', 'msg' or 'time'"
 
-_TOKEN = re.compile(
-    r"(?P<number>[+-]?\d+(?:\.\d+)?)"
-    r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<punct>->|\.\.|[:=])"
+NAME_PATTERN = re.compile(_NAME + r"\Z")
+
+_TOKEN = re.compile(rf"(?P<number>{_NUMBER})|(?P<name>{_NAME})|(?P<punct>->|\.\.|[:=])")
+
+# A whole line: at most one directive, then an optional comment.  Spaces and
+# tabs separate tokens; only a keyword or name followed by a name needs one.
+# Each directive's group encloses its fields, so ``lastgroup`` is its keyword.
+# No two runs of blanks meet, so a rejected line fails in linear time.
+_LINE = re.compile(
+    r"[ \t]*(?:(?:"
+    rf"(?P<site>site[ \t]+(?P<site_name>{_NAME})[ \t]*:"
+    rf"(?P<procs>(?:[ \t]*{_NAME}(?:[ \t]+{_NAME})*)?))"
+    rf"|(?P<msg>msg[ \t]+(?P<sender>{_NAME})[ \t]*->[ \t]*(?P<receiver>{_NAME}))"
+    rf"|(?P<time>time[ \t]+(?P<process>{_NAME})[ \t]*=[ \t]*(?P<start>{_NUMBER})"
+    rf"[ \t]*\.\.[ \t]*(?P<end>{_NUMBER}))"
+    r")[ \t]*)?(?:#.*)?\Z"
 )
 
 
@@ -143,6 +159,18 @@ class Trace:
     def end(self, name: str) -> Fraction:
         return self.span(name)[1]
 
+    @cached_property
+    def ticks(self) -> dict[str, tuple[int, int]]:
+        """``timing`` as whole multiples of one tick, 1 / the lcm of every
+        denominator, so that ticks compare exactly as the times do."""
+        if self.timing is None:
+            raise UntimedTraceError("trace has no timestamps")
+        scale = math.lcm(*{t.denominator for span in self.timing.values() for t in span})
+        return {
+            name: (start.numerator * scale // start.denominator, end.numerator * scale // end.denominator)
+            for name, (start, end) in self.timing.items()
+        }
+
 
 def _tokenize(line: str, lineno: int) -> list[tuple[str, str, int]]:
     tokens: list[tuple[str, str, int]] = []
@@ -195,80 +223,125 @@ class _LineReader:
 
 def parse_trace(text: str) -> Trace:
     """Parse a trace document.  Raises TraceParseError on syntax errors,
-    duplicate or unknown names, intra-site messages and partial timing."""
+    duplicate or unknown names, intra-site messages and partial timing.
+
+    Each line is matched whole by ``_LINE``; only a line it rejects goes
+    through the tokenizer, which words the error.  Both feed the same checks,
+    in the order the tokens are read, and a check names a token by its index
+    in the line, so that its column is found only when it fails."""
     sites: list[Site] = []
     site_names: set[str] = set()
     by_name: dict[str, ProcessId] = {}
     messages: list[Message] = []
     timing: dict[str, tuple[Fraction, Fraction]] = {}
+    numbers = _Numbers()
     past_sites = False
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        tokens = _tokenize(raw.split("#", 1)[0], lineno)
-        if not tokens:
-            continue
-        reader = _LineReader(tokens, lineno)
-        keyword, col = reader.take("name", "'site', 'msg' or 'time'")
+        match = _LINE.match(raw)
+        if match is not None:
+            keyword, fields, syntax = match.lastgroup, match.groups(), None
+        else:
+            keyword, fields, syntax = _read_prefix(raw, lineno)
+        _, site_name, procs, _, sender, receiver, _, process, start, end = fields
         if keyword == "site":
             if past_sites:
-                raise TraceParseError("site lines must precede msg/time lines", lineno, col)
-            site_name, name_col = reader.take("name", "site name")
-            if site_name in site_names:
-                raise TraceParseError(f"duplicate site name {site_name!r}", lineno, name_col)
-            site_names.add(site_name)
-            reader.take("punct", "':'", ":")
-            procs: list[ProcessId] = []
-            while not reader.done():
-                proc_name, proc_col = reader.take("name", "process name")
-                if proc_name in by_name:
-                    raise TraceParseError(f"duplicate process name {proc_name!r}", lineno, proc_col)
-                pid = ProcessId(len(sites), len(procs), proc_name)
-                by_name[proc_name] = pid
-                procs.append(pid)
-            if not procs:
-                raise TraceParseError(f"site {site_name!r} has no processes", lineno, col)
-            sites.append(Site(site_name, tuple(procs)))
+                raise _error_at(raw, lineno, 0, "site lines must precede msg/time lines")
+            if site_name is not None:
+                if site_name in site_names:
+                    raise _error_at(raw, lineno, 1, f"duplicate site name {site_name!r}")
+                site_names.add(site_name)
+            pids: list[ProcessId] = []
+            for position, name in enumerate(procs.split() if procs else ()):
+                if name in by_name:
+                    raise _error_at(raw, lineno, 3 + position, f"duplicate process name {name!r}")
+                by_name[name] = pid = ProcessId(len(sites), position, name)
+                pids.append(pid)
+            if syntax is not None:
+                raise syntax
+            if not pids:
+                raise _error_at(raw, lineno, 0, f"site {site_name!r} has no processes")
+            sites.append(Site(site_name, tuple(pids)))
         elif keyword == "msg":
             past_sites = True
-            sender = _resolve(reader, by_name, "sender")
-            reader.take("punct", "'->'", "->")
-            receiver = _resolve(reader, by_name, "receiver")
-            reader.expect_end()
-            if sender.site_index == receiver.site_index:
-                raise TraceParseError(
-                    f"intra-site message {sender.name} -> {receiver.name}", lineno, col
-                )
-            messages.append(Message(sender, receiver))
+            if sender is not None and sender not in by_name:
+                raise _error_at(raw, lineno, 1, f"unknown process {sender!r}")
+            if receiver is not None and receiver not in by_name:
+                raise _error_at(raw, lineno, 3, f"unknown process {receiver!r}")
+            if syntax is not None:
+                raise syntax
+            message = Message(by_name[sender], by_name[receiver])
+            if message.sender.site_index == message.receiver.site_index:
+                raise _error_at(raw, lineno, 0, f"intra-site message {sender} -> {receiver}")
+            messages.append(message)
         elif keyword == "time":
             past_sites = True
-            pid = _resolve(reader, by_name, "process")
-            reader.take("punct", "'='", "=")
-            start_text, _ = reader.take("number", "start time")
-            reader.take("punct", "'..'", "..")
-            end_text, _ = reader.take("number", "end time")
-            reader.expect_end()
-            if pid.name in timing:
-                raise TraceParseError(f"duplicate time entry for {pid.name!r}", lineno, col)
-            timing[pid.name] = (Fraction(start_text), Fraction(end_text))
-        else:
-            raise TraceParseError(
-                f"expected 'site', 'msg' or 'time', found {keyword!r}", lineno, col
-            )
+            if process is not None and process not in by_name:
+                raise _error_at(raw, lineno, 1, f"unknown process {process!r}")
+            if syntax is not None:
+                raise syntax
+            if process in timing:
+                raise _error_at(raw, lineno, 0, f"duplicate time entry for {process!r}")
+            timing[process] = (numbers[start], numbers[end])
+        elif syntax is not None:
+            raise syntax
 
     if not sites:
         raise TraceParseError("empty trace: no site lines")
     if timing:
-        for pid in by_name.values():
-            if pid.name not in timing:
-                raise TraceParseError(f"partial timing: no entry for {pid.name!r}")
+        for name in by_name:
+            if name not in timing:
+                raise TraceParseError(f"partial timing: no entry for {name!r}")
     return Trace(tuple(sites), tuple(messages), timing or None)
 
 
-def _resolve(reader: _LineReader, by_name: dict[str, ProcessId], role: str) -> ProcessId:
-    name, col = reader.take("name", f"{role} process name")
-    if name not in by_name:
-        raise TraceParseError(f"unknown process {name!r}", reader.lineno, col)
-    return by_name[name]
+class _Numbers(dict):
+    """Number literal -> Fraction, built once per distinct literal from its
+    digits as an integer over a power of ten."""
+
+    def __missing__(self, literal: str) -> Fraction:
+        whole, _, places = literal.partition(".")
+        value = self[literal] = Fraction(int(whole + places), 10 ** len(places))
+        return value
+
+
+def _read_prefix(raw: str, lineno: int):
+    """Read a line that ``_LINE`` rejects token by token: its keyword, the
+    fields read before its first syntax error, laid out as ``_LINE``'s
+    groups, and that error (None if the whole line reads)."""
+    fields = dict.fromkeys(_LINE.groupindex)
+    keyword = None
+    try:
+        reader = _LineReader(_tokenize(raw.split("#", 1)[0], lineno), lineno)
+        keyword, col = reader.take("name", _KEYWORD)
+        if keyword == "site":
+            fields["site_name"] = reader.take("name", "site name")[0]
+            reader.take("punct", "':'", ":")
+            fields["procs"] = ""
+            while not reader.done():
+                fields["procs"] += " " + reader.take("name", "process name")[0]
+        elif keyword == "msg":
+            fields["sender"] = reader.take("name", "sender process name")[0]
+            reader.take("punct", "'->'", "->")
+            fields["receiver"] = reader.take("name", "receiver process name")[0]
+            reader.expect_end()
+        elif keyword == "time":
+            fields["process"] = reader.take("name", "process process name")[0]
+            reader.take("punct", "'='", "=")
+            fields["start"] = reader.take("number", "start time")[0]
+            reader.take("punct", "'..'", "..")
+            fields["end"] = reader.take("number", "end time")[0]
+            reader.expect_end()
+        else:
+            raise TraceParseError(f"expected {_KEYWORD}, found {keyword!r}", lineno, col)
+    except TraceParseError as exc:
+        return keyword, tuple(fields.values()), exc
+    return keyword, tuple(fields.values()), None
+
+
+def _error_at(raw: str, lineno: int, token: int, message: str) -> TraceParseError:
+    """The error for a line whose token number ``token`` fails a check."""
+    return TraceParseError(message, lineno, _tokenize(raw.split("#", 1)[0], lineno)[token][2])
 
 
 def _format_rational(x: Fraction) -> str:
@@ -305,11 +378,12 @@ def serialize_trace(trace: Trace) -> str:
 
 
 def timing_problems(trace: Trace) -> list[str]:
-    """validate's timing entries: totality, durations, tiling, message order."""
+    """validate's timing entries: totality, durations, tiling, message order.
+    Times are compared as ``Trace.ticks`` and printed as Fractions."""
     if trace.timing is None:
         return []
     problems: list[str] = []
-    timing = trace.timing
+    timing, ticks = trace.timing, trace.ticks
     for name in trace.names:
         if name not in timing:
             problems.append(f"partial timing: no entry for {name}")
@@ -317,21 +391,21 @@ def timing_problems(trace: Trace) -> list[str]:
         if name not in trace._by_name:
             problems.append(f"time entry for unknown process {name}")
     for site in trace.sites:
-        timed = [p for p in site.processes if p.name in timing]
-        for pid in timed:
-            start, end = timing[pid.name]
+        timed = [p.name for p in site.processes if p.name in ticks]
+        for name in timed:
+            start, end = ticks[name]
             if end <= start:
-                problems.append(f"process {pid.name} has non-positive duration")
+                problems.append(f"process {name} has non-positive duration")
         for a, b in zip(timed, timed[1:]):
-            end_a = timing[a.name][1]
-            start_b = timing[b.name][0]
+            end_a = ticks[a][1]
+            start_b = ticks[b][0]
             if end_a < start_b:
-                problems.append(f"gap at site {site.name} between {a.name} and {b.name}")
+                problems.append(f"gap at site {site.name} between {a} and {b}")
             elif end_a > start_b:
-                problems.append(f"overlap at site {site.name} between {a.name} and {b.name}")
+                problems.append(f"overlap at site {site.name} between {a} and {b}")
     for message in trace.messages:
         s, r = message.sender.name, message.receiver.name
-        if s in timing and r in timing and timing[s][1] >= timing[r][0]:
+        if s in ticks and r in ticks and ticks[s][1] >= ticks[r][0]:
             problems.append(
                 f"message {s} -> {r} is not causally timed "
                 f"(sender ends at {timing[s][1]}, receiver starts at {timing[r][0]})"

@@ -4,9 +4,12 @@ sha256 of stderr.
     python3 tests/cli_digest.py > digest.txt
 
 Run it in two checkouts and diff the two outputs to see every request whose
-exit code or output bytes differ.  The corpus crosses the fixtures, seeded
-``gen`` traces (timed, and untimed copies) and a few broken inputs with every
-command, format, law, semantics and ``--cap``.  Each request is one
+exit code or output bytes differ.  The corpus crosses the fixtures, their
+whitespace, comment, CRLF and compact-punctuation variants, seeded ``gen``
+traces (timed, untimed copies and copies with signed decimal times) and a few
+broken inputs, one syntax error per directive among them, with every command,
+format, law, semantics and ``--cap``; one 600-process timed trace goes
+through ``validate``, ``timepoints`` and ``hb`` only.  Each request is one
 ``orthochron.cli.main(argv)`` call in this process, with the package
 imported from the checkout's ``src``.  Trace paths are relative to a
 temporary directory, so the lines do not depend on where the script runs.
@@ -33,6 +36,19 @@ GEN_SHAPES = [(1, 4, 0), (2, 3, 2), (3, 3, 4), (2, 5, 3), (4, 3, 6), (3, 8, 5)]
 GEN_SEEDS = range(1, 7)
 FORMULAS = ["{a}", "{a} | ~{b}", "({a} | {b}) & {c}", "~~{a} & 1", "0 | ~({a} & {c})", "nope", "({a}"]
 CAPS = [[], ["--cap", "3"]]
+FIXTURE_VARIANTS = {
+    "tabs": lambda text: text.replace(" ", "\t").replace("\t:", " \t:  "),
+    "comments": lambda text: "# variant\n\n" + text.replace("\n", "  # note\n\n"),
+    "crlf": lambda text: text.replace("\n", "\r\n"),
+    "compact": lambda text: text.replace(" : ", ":").replace(" -> ", "->").replace(" = ", "=")
+    .replace(" .. ", ".."),
+}
+SYNTAX_ERRORS = {
+    "site": "site x a b\nsite y : c\n",
+    "msg": "site x : a\nsite y : b\nmsg a b\n",
+    "time": "site x : a\ntime a = 0 1\n",
+}
+WIDE = ["gen", "--seed", "3", "--sites", "10", "--procs", "60", "--messages", "600"]
 
 
 def request(argv: list[str]) -> tuple[int, str, str]:
@@ -42,10 +58,25 @@ def request(argv: list[str]) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
+def _shifted(text: str) -> str:
+    """A timed trace with every time moved down by 7.25 and written with a sign."""
+    lines = []
+    for line in text.splitlines():
+        if line.startswith("time"):
+            head, times = line.split("=")
+            start, end = (float(t) - 7.25 for t in times.split(".."))
+            line = f"{head}= {start:+g} .. {end:+g}"
+        lines.append(line)
+    return "\n".join(lines) + "\n"
+
+
 def write_corpus() -> dict[str, list[str]]:
     """Write the traces to the current directory; map each path to its first,
     last and middle process names, the atoms of the eval formulas."""
     texts = {f"fixtures/{p.name}": p.read_text() for p in sorted((ROOT / "fixtures").glob("*.trace"))}
+    for path, text in list(texts.items()):
+        for variant, rewrite in FIXTURE_VARIANTS.items():
+            texts[path.replace(".trace", f"-{variant}.trace")] = rewrite(text)
     for seed in GEN_SEEDS:
         for sites, procs, messages in GEN_SHAPES:
             argv = ["gen", "--seed", str(seed), "--sites", str(sites), "--procs", str(procs),
@@ -56,21 +87,30 @@ def write_corpus() -> dict[str, list[str]]:
                 if seed % 2:
                     untimed = "".join(line for line in out.splitlines(True) if not line.startswith("time"))
                     texts[f"untimed-{seed}-{sites}-{procs}-{messages}.trace"] = untimed
+                else:
+                    texts[f"signed-{seed}-{sites}-{procs}-{messages}.trace"] = _shifted(out)
     texts["oracle-21.trace"] = request(["gen", "--seed", "1", "--sites", "3", "--procs", "7",
                                         "--messages", "2"])[1]
     texts["broken.trace"] = "site x : p1\nmsg p1 -> q9\n"
+    for directive, text in SYNTAX_ERRORS.items():
+        texts[f"syntax-{directive}.trace"] = text
     os.mkdir("fixtures")
     atoms = {}
     for path, text in texts.items():
         Path(path).write_text(text)
-        names = [n for line in text.splitlines() if line.startswith("site")
-                 for n in line.split(":", 1)[1].split()]
+        names = [n for line in text.splitlines() if line.split("#")[0].startswith("site")
+                 for n in line.split("#")[0].partition(":")[2].split()]
         atoms[path] = [names[0], names[-1], names[len(names) // 2]] if names else ["p1"] * 3
     return atoms
 
 
 def corpus(atoms: dict[str, list[str]]):
     yield ["--version"]
+    Path("wide.trace").write_text(request(WIDE)[1])
+    yield ["validate", "wide.trace"]
+    for fmt in ("text", "json"):
+        yield ["timepoints", "wide.trace", "--format", fmt]
+        yield ["hb", "wide.trace", "--format", fmt]
     yield ["lattice"]
     yield ["laws", "fixtures/fig7.trace", "--law", "no-such-law"]
     yield ["validate", "missing.trace"]

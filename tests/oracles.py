@@ -5,13 +5,17 @@ enumeration over subsets, tuples or fixpoint iteration.  The law scans try
 every element pair or triple of an ``OrthoLattice``, the reference for
 ``OrthoLattice.check_laws``, which decides most verdicts without them.  The
 oracle filter, the two recursive evaluators, the substitution-based law
-comparison and the list-based trace generator at the end are the literal
-references for ``cli.closed_sets_by_definition``, ``eval_boolean``,
-``eval_ortho``, ``compare_laws`` and ``gen_random``.
+comparison, the list-based trace generator and the token-by-token trace
+parser at the end are the literal references for
+``cli.closed_sets_by_definition``, ``eval_boolean``, ``eval_ortho``,
+``compare_laws``, ``gen_random`` and ``parse_trace``; the timing checks
+after it compare the Fractions themselves, the reference for
+``timing_problems``, which compares integer ticks.
 """
 
 import itertools
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -35,6 +39,7 @@ from orthochron.trace_model import (
     ProcessId,
     Site,
     Trace,
+    TraceParseError,
 )
 
 
@@ -364,3 +369,172 @@ def gen_random(seed, n_sites, procs_per_site, n_messages):
         raise MessageBudgetError(n_messages, len(candidates))
     messages = tuple(Message(a, b) for a, b in rng.sample(candidates, n_messages))
     return Trace(tuple(sites), messages, timing)
+
+
+_TOKEN = re.compile(
+    r"(?P<number>[+-]?\d+(?:\.\d+)?)"
+    r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<punct>->|\.\.|[:=])"
+)
+
+
+def _tokenize(line: str, lineno: int) -> list[tuple[str, str, int]]:
+    tokens: list[tuple[str, str, int]] = []
+    pos = 0
+    while pos < len(line):
+        ch = line[pos]
+        if ch in " \t":
+            pos += 1
+            continue
+        match = _TOKEN.match(line, pos)
+        if match is None:
+            raise TraceParseError(f"unexpected character {ch!r}", lineno, pos + 1)
+        tokens.append((match.lastgroup or "", match.group(), pos + 1))
+        pos = match.end()
+    return tokens
+
+
+class _LineReader:
+    """Cursor over one line's tokens with uniform error reporting."""
+
+    def __init__(self, tokens: list[tuple[str, str, int]], lineno: int):
+        self.tokens = tokens
+        self.lineno = lineno
+        self.pos = 0
+
+    def _fail(self, expected: str):
+        if self.pos < len(self.tokens):
+            _, value, col = self.tokens[self.pos]
+            raise TraceParseError(f"expected {expected}, found {value!r}", self.lineno, col)
+        col = self.tokens[-1][2] if self.tokens else 1
+        raise TraceParseError(f"expected {expected} at end of line", self.lineno, col)
+
+    def take(self, kind: str, expected: str, literal: str | None = None) -> tuple[str, int]:
+        if self.pos < len(self.tokens):
+            tok_kind, value, col = self.tokens[self.pos]
+            if tok_kind == kind and (literal is None or value == literal):
+                self.pos += 1
+                return value, col
+        self._fail(expected)
+        raise AssertionError("unreachable")
+
+    def done(self) -> bool:
+        return self.pos >= len(self.tokens)
+
+    def expect_end(self):
+        if not self.done():
+            _, value, col = self.tokens[self.pos]
+            raise TraceParseError(f"unexpected trailing token {value!r}", self.lineno, col)
+
+
+def parse_trace(text: str) -> Trace:
+    """Parse a trace document.  Raises TraceParseError on syntax errors,
+    duplicate or unknown names, intra-site messages and partial timing."""
+    sites: list[Site] = []
+    site_names: set[str] = set()
+    by_name: dict[str, ProcessId] = {}
+    messages: list[Message] = []
+    timing: dict[str, tuple[Fraction, Fraction]] = {}
+    past_sites = False
+
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        tokens = _tokenize(raw.split("#", 1)[0], lineno)
+        if not tokens:
+            continue
+        reader = _LineReader(tokens, lineno)
+        keyword, col = reader.take("name", "'site', 'msg' or 'time'")
+        if keyword == "site":
+            if past_sites:
+                raise TraceParseError("site lines must precede msg/time lines", lineno, col)
+            site_name, name_col = reader.take("name", "site name")
+            if site_name in site_names:
+                raise TraceParseError(f"duplicate site name {site_name!r}", lineno, name_col)
+            site_names.add(site_name)
+            reader.take("punct", "':'", ":")
+            procs: list[ProcessId] = []
+            while not reader.done():
+                proc_name, proc_col = reader.take("name", "process name")
+                if proc_name in by_name:
+                    raise TraceParseError(f"duplicate process name {proc_name!r}", lineno, proc_col)
+                pid = ProcessId(len(sites), len(procs), proc_name)
+                by_name[proc_name] = pid
+                procs.append(pid)
+            if not procs:
+                raise TraceParseError(f"site {site_name!r} has no processes", lineno, col)
+            sites.append(Site(site_name, tuple(procs)))
+        elif keyword == "msg":
+            past_sites = True
+            sender = _resolve(reader, by_name, "sender")
+            reader.take("punct", "'->'", "->")
+            receiver = _resolve(reader, by_name, "receiver")
+            reader.expect_end()
+            if sender.site_index == receiver.site_index:
+                raise TraceParseError(
+                    f"intra-site message {sender.name} -> {receiver.name}", lineno, col
+                )
+            messages.append(Message(sender, receiver))
+        elif keyword == "time":
+            past_sites = True
+            pid = _resolve(reader, by_name, "process")
+            reader.take("punct", "'='", "=")
+            start_text, _ = reader.take("number", "start time")
+            reader.take("punct", "'..'", "..")
+            end_text, _ = reader.take("number", "end time")
+            reader.expect_end()
+            if pid.name in timing:
+                raise TraceParseError(f"duplicate time entry for {pid.name!r}", lineno, col)
+            timing[pid.name] = (Fraction(start_text), Fraction(end_text))
+        else:
+            raise TraceParseError(
+                f"expected 'site', 'msg' or 'time', found {keyword!r}", lineno, col
+            )
+
+    if not sites:
+        raise TraceParseError("empty trace: no site lines")
+    if timing:
+        for pid in by_name.values():
+            if pid.name not in timing:
+                raise TraceParseError(f"partial timing: no entry for {pid.name!r}")
+    return Trace(tuple(sites), tuple(messages), timing or None)
+
+
+def _resolve(reader: _LineReader, by_name: dict[str, ProcessId], role: str) -> ProcessId:
+    name, col = reader.take("name", f"{role} process name")
+    if name not in by_name:
+        raise TraceParseError(f"unknown process {name!r}", reader.lineno, col)
+    return by_name[name]
+
+
+def timing_problems(trace: Trace) -> list[str]:
+    """validate's timing entries: totality, durations, tiling, message order."""
+    if trace.timing is None:
+        return []
+    problems: list[str] = []
+    timing = trace.timing
+    for name in trace.names:
+        if name not in timing:
+            problems.append(f"partial timing: no entry for {name}")
+    for name in timing:
+        if name not in trace._by_name:
+            problems.append(f"time entry for unknown process {name}")
+    for site in trace.sites:
+        timed = [p for p in site.processes if p.name in timing]
+        for pid in timed:
+            start, end = timing[pid.name]
+            if end <= start:
+                problems.append(f"process {pid.name} has non-positive duration")
+        for a, b in zip(timed, timed[1:]):
+            end_a = timing[a.name][1]
+            start_b = timing[b.name][0]
+            if end_a < start_b:
+                problems.append(f"gap at site {site.name} between {a.name} and {b.name}")
+            elif end_a > start_b:
+                problems.append(f"overlap at site {site.name} between {a.name} and {b.name}")
+    for message in trace.messages:
+        s, r = message.sender.name, message.receiver.name
+        if s in timing and r in timing and timing[s][1] >= timing[r][0]:
+            problems.append(
+                f"message {s} -> {r} is not causally timed "
+                f"(sender ends at {timing[s][1]}, receiver starts at {timing[r][0]})"
+            )
+    return problems

@@ -1,10 +1,12 @@
 import itertools
+import random
 
 import hypothesis
 import hypothesis.strategies as st
 import pytest
 
 from orthochron import CycleError, happened_before, parse_trace
+from orthochron.causal_core import CausalStructure, _bit_indices
 from orthochron.trace_model import ProcessId, Site, Trace
 
 from conftest import random_trace
@@ -157,3 +159,15 @@ def test_containment_is_monotone_in_covers(seed):
     for r in names:
         if cs.temporally_contains(covers, r):
             assert cs.temporally_contains(wider, r)
+
+
+@pytest.mark.parametrize("size", [1, 7, 64, 1300])
+def test_mask_decoding_matches_bit_indices(size):
+    cs = CausalStructure(tuple(ProcessId(0, i, f"p{i}") for i in range(size)), (), ())
+    rng = random.Random(size)
+    sparse = [rng.getrandbits(size) & rng.getrandbits(size) & rng.getrandbits(size) for _ in range(20)]
+    dense = [rng.getrandbits(size) | rng.getrandbits(size) for _ in range(20)]
+    for mask in [0, cs.full_mask, *(1 << i for i in range(size)), *sparse, *dense]:
+        expected = [cs.names[i] for i in _bit_indices(mask)]
+        assert cs.sorted_names_of(mask) == expected
+        assert cs.names_of(mask) == frozenset(expected)

@@ -11,7 +11,7 @@ from orthochron import (
 )
 from orthochron.chronology import earlier
 
-from conftest import random_trace
+from conftest import random_trace, rational_traces
 from oracles import brute_time_points
 
 FIG2_POINTS = [
@@ -122,6 +122,14 @@ def test_sweep_matches_brute_force_cliques(seed):
     timeline = time_points(trace)
     assert set(timeline) == brute_time_points(trace)
     assert len(set(timeline)) == len(timeline)
+
+
+@hypothesis.given(rational_traces(tiled=True))
+def test_sweep_on_non_decimal_and_negative_times(trace):
+    timeline = time_points(trace)
+    assert set(timeline) == brute_time_points(trace)
+    assert len(set(timeline)) == len(timeline)
+    _check_linear_order(trace, timeline)
 
 
 @hypothesis.given(st.integers(min_value=1, max_value=10**9))

@@ -16,6 +16,56 @@ FIG7 = str(fixture_path("fig7.trace"))
 MO2 = str(fixture_path("mo2.trace"))
 SINGLE = str(fixture_path("single-site.trace"))
 
+# stdout of `hb` on fig2 and fig5
+FIG2_HB = (
+    "happened-before\n"
+    "    p1 p2 p3 p4 q1 q2 q3 q4 q5 r1 r2 r3\n"
+    "  p1  0  1  1  1  0  0  0  0  0  0  0  0\n"
+    "  p2  0  0  1  1  0  0  0  0  0  0  0  0\n"
+    "  p3  0  0  0  1  0  0  0  0  0  0  0  0\n"
+    "  p4  0  0  0  0  0  0  0  0  0  0  0  0\n"
+    "  q1  0  0  0  0  0  1  1  1  1  0  0  0\n"
+    "  q2  0  0  0  0  0  0  1  1  1  0  0  0\n"
+    "  q3  0  0  0  0  0  0  0  1  1  0  0  0\n"
+    "  q4  0  0  0  0  0  0  0  0  1  0  0  0\n"
+    "  q5  0  0  0  0  0  0  0  0  0  0  0  0\n"
+    "  r1  0  0  0  0  0  0  0  0  0  0  1  1\n"
+    "  r2  0  0  0  0  0  0  0  0  0  0  0  1\n"
+    "  r3  0  0  0  0  0  0  0  0  0  0  0  0\n"
+    "causality\n"
+    "    p1 p2 p3 p4 q1 q2 q3 q4 q5 r1 r2 r3\n"
+    "  p1  0  1  1  1  0  0  0  0  0  0  0  0\n"
+    "  p2  1  0  1  1  0  0  0  0  0  0  0  0\n"
+    "  p3  1  1  0  1  0  0  0  0  0  0  0  0\n"
+    "  p4  1  1  1  0  0  0  0  0  0  0  0  0\n"
+    "  q1  0  0  0  0  0  1  1  1  1  0  0  0\n"
+    "  q2  0  0  0  0  1  0  1  1  1  0  0  0\n"
+    "  q3  0  0  0  0  1  1  0  1  1  0  0  0\n"
+    "  q4  0  0  0  0  1  1  1  0  1  0  0  0\n"
+    "  q5  0  0  0  0  1  1  1  1  0  0  0  0\n"
+    "  r1  0  0  0  0  0  0  0  0  0  0  1  1\n"
+    "  r2  0  0  0  0  0  0  0  0  0  1  0  1\n"
+    "  r3  0  0  0  0  0  0  0  0  0  1  1  0\n"
+)
+FIG5_HB = (
+    "happened-before\n"
+    "    x1 x2 x3 y1 y2 y3\n"
+    "  x1  0  1  1  0  1  1\n"
+    "  x2  0  0  1  0  0  0\n"
+    "  x3  0  0  0  0  0  0\n"
+    "  y1  0  0  1  0  1  1\n"
+    "  y2  0  0  1  0  0  1\n"
+    "  y3  0  0  0  0  0  0\n"
+    "causality\n"
+    "    x1 x2 x3 y1 y2 y3\n"
+    "  x1  0  1  1  0  1  1\n"
+    "  x2  1  0  1  0  0  0\n"
+    "  x3  1  1  0  1  1  0\n"
+    "  y1  0  0  1  0  1  1\n"
+    "  y2  1  0  1  1  0  1\n"
+    "  y3  1  0  0  1  1  0\n"
+)
+
 MO2_JSON = {
     "elements": [[], ["p1"], ["p2"], ["q1"], ["q2"], ["p1", "p2", "q1", "q2"]],
     "complement": [5, 2, 1, 4, 3, 0],
@@ -132,6 +182,24 @@ def test_hb_text(cli):
     assert lines.count("  p1  0  1  0  0") == 2
     assert lines[5] == "  q2  0  0  0  0"
     assert lines[11] == "  q2  0  0  1  0"
+
+
+@pytest.mark.parametrize("path, expected", [(FIG2, FIG2_HB), (FIG5, FIG5_HB)], ids=["fig2", "fig5"])
+def test_hb_text_pinned(cli, path, expected):
+    assert cli("hb", path) == (0, expected, "")
+
+
+def test_hb_text_right_aligns_cells_to_the_widest_name(cli, tmp_path):
+    path = tmp_path / "widths.trace"
+    path.write_text("site x : a bb\nsite y : ccc d\nmsg a -> d\n")
+    cs = happened_before(parse_trace(path.read_text()))
+    expected = []
+    for title, related in (("happened-before", cs.happened_before), ("causality", cs.causally_related)):
+        expected += [title, "     " + " ".join(n.rjust(3) for n in cs.names)]
+        for a in cs.names:
+            cells = " ".join(("1" if related(a, b) else "0").rjust(3) for b in cs.names)
+            expected.append(f"  {a.rjust(3)} {cells}")
+    assert cli("hb", str(path)) == (0, "\n".join(expected) + "\n", "")
 
 
 def test_hb_json(cli):

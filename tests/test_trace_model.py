@@ -8,6 +8,7 @@ import hypothesis.strategies as st
 import pytest
 
 from orthochron import (
+    Message,
     MessageBudgetError,
     ProcessId,
     Site,
@@ -19,9 +20,10 @@ from orthochron import (
     serialize_trace,
     validate,
 )
+from orthochron.trace_model import timing_problems
 
 import oracles
-from conftest import fixture_text, random_trace
+from conftest import fixture_text, random_trace, rational_traces
 
 
 def test_parse_fig2_structure(fig2):
@@ -97,6 +99,13 @@ def test_serialize_rejects_non_decimal_rational():
         ("site x : a\nsite y : b\nmsg a -> b extra\n", "trailing token"),
         ("site x : a$\n", "unexpected character"),
         ("blob x : a\n", "expected 'site', 'msg' or 'time'"),
+        ("site x:a b\nmsg a->b\n", "intra-site message a -> b"),
+        ("site x:a\nsite y:b\nmsg a->c\n", "unknown process 'c'"),
+        ("site x:a\nsite x:b\n", "duplicate site name 'x'"),
+        ("site\tx\t:\ta\nsite\ty\t:\ta\n", "duplicate process name 'a'"),
+        ("site\tx\t:\ta\ntime\ta\t=\t0\t..\t1\ttime\n", "trailing token 'time'"),
+        ("site x : a\ntime a = 0 .. 1.\n", "unexpected character '.'"),
+        ("site x : a\nmsg a -> 5\n", "expected receiver process name, found '5'"),
     ],
 )
 def test_parse_errors(text, fragment):
@@ -110,6 +119,59 @@ def test_parse_error_carries_position():
         parse_trace("site x : a\nsite x : b\n")
     assert excinfo.value.line == 2
     assert excinfo.value.column == 6
+
+
+def test_punctuation_needs_no_spaces():
+    spaced = "site x : a b\nsite y : c\nmsg a -> c\n" + "".join(
+        f"time {p} = {s} .. {e}\n" for p, s, e in (("a", 0, 1), ("b", 1, 2.5), ("c", 2, 3))
+    )
+    compact = "site x:a b\nsite\ty:c\nmsg a->c\ntime a=0..1\ntime\tb=1..2.5\ntime c=2..3 #end\n"
+    assert parse_trace(compact) == parse_trace(spaced)
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except TraceParseError as exc:
+        return str(exc), exc.line, exc.column
+
+
+_NAMES = st.sampled_from(["a", "b", "c", "x", "site", "p_1"])
+_NUMBERS = st.sampled_from(["0", "1", "-1", "+2", "0.5", "-0.25", "1.50", "\u0663"])
+_PUNCT = st.sampled_from(["->", "..", ":", "="])
+_STRAY = st.sampled_from(["-", ">", ".", "$", "\u00a0", "#", "# note", "\r", "\x0c", "1.", "..."])
+_GAPS = st.sampled_from(["", " ", " ", " ", "\t", "  \t"])
+_HEADERS = ["", "site x : a b\nsite y : c\n", "site x : a b\nsite y : c\ntime a = 0 .. 1\ntime b = 1 .. 2\n"]
+
+
+@st.composite
+def _trace_line(draw):
+    """A directive's tokens, or random ones, with at most one token inserted,
+    dropped or replaced, joined by random runs of spaces and tabs, some empty."""
+    shape = draw(st.sampled_from(["site", "msg", "msg", "time", "time", "time", "junk"]))
+    if shape == "site":
+        tokens = ["site", draw(_NAMES), ":", *draw(st.lists(_NAMES, max_size=3))]
+    elif shape == "msg":
+        tokens = ["msg", draw(_NAMES), "->", draw(_NAMES)]
+    elif shape == "time":
+        tokens = ["time", draw(_NAMES), "=", draw(_NUMBERS), "..", draw(_NUMBERS)]
+    else:
+        tokens = draw(st.lists(st.one_of(_NAMES, _NUMBERS, _PUNCT), max_size=6))
+    if draw(st.integers(0, 2)) == 0:
+        at = draw(st.integers(0, len(tokens)))
+        edit = st.one_of(_STRAY, _NAMES, _NUMBERS, _PUNCT)
+        tokens[at : at + draw(st.integers(0, 1))] = draw(st.lists(edit, max_size=1))
+    return draw(_GAPS) + "".join(token + draw(_GAPS) for token in tokens)
+
+
+@hypothesis.settings(max_examples=500)
+@hypothesis.given(
+    st.sampled_from(_HEADERS),
+    st.lists(st.tuples(_trace_line(), st.sampled_from(["\n", "\r\n", "\r", "\x0c"])), max_size=5),
+)
+def test_parse_matches_token_reader(header, lines):
+    text = header + "".join(line + end for line, end in lines)
+    assert _outcome(parse_trace, text) == _outcome(oracles.parse_trace, text)
 
 
 def test_validate_accepts_fixtures(fig2, fig5, fig7, mo2, single_site):
@@ -139,6 +201,32 @@ def test_validate_reports_untimely_message():
     )
     report = validate(parse_trace(text))
     assert any("not causally timed" in entry for entry in report)
+
+
+def _two_sites(a_span, b_span):
+    """Processes a on site x and b on site y, and a message a -> b."""
+    a, b = ProcessId(0, 0, "a"), ProcessId(1, 0, "b")
+    return Trace((Site("x", (a,)), Site("y", (b,))), (Message(a, b),), {"a": a_span, "b": b_span})
+
+
+def test_untimely_message_prints_fractions():
+    trace = _two_sites((Fraction(1, 3), Fraction(5, 2)), (Fraction(5, 2), Fraction(3)))
+    assert validate(trace) == [
+        "message a -> b is not causally timed (sender ends at 5/2, receiver starts at 5/2)"
+    ]
+
+
+def test_ticks_put_every_time_on_the_common_denominator():
+    trace = _two_sites((Fraction(-1, 3), Fraction(2, 7)), (Fraction(2, 7), Fraction("1.25")))
+    assert trace.ticks == {"a": (-28, 24), "b": (24, 105)}
+    assert trace.timing["b"] == (Fraction(2, 7), Fraction(5, 4))
+    with pytest.raises(UntimedTraceError):
+        dataclasses.replace(trace, timing=None).ticks
+
+
+@hypothesis.given(rational_traces(tiled=False))
+def test_timing_problems_match_fraction_comparisons(trace):
+    assert timing_problems(trace) == oracles.timing_problems(trace)
 
 
 def test_validate_reports_causal_cycle():
