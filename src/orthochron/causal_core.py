@@ -36,7 +36,7 @@ class CausalStructure:
 
     @cached_property
     def names(self) -> tuple[str, ...]:
-        return tuple(p.name for p in self.processes)
+        return tuple([p.name for p in self.processes])
 
     @cached_property
     def _ordinals(self) -> dict[str, int]:
@@ -94,15 +94,6 @@ _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 def _selectors(mask: int) -> bytes:
     """One byte per ordinal, lowest first: 1 where the mask has the bit."""
     return bin(mask)[:1:-1].encode().translate(_BIT_BYTES)
-
-
-def _bit_indices(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
 
 
 def _topological_order(n: int, direct: list[list[int]]) -> list[int]:
@@ -178,5 +169,5 @@ def happened_before(trace: Trace) -> CausalStructure:
     for i in order:
         for j in direct[i]:
             ancestors[j] |= ancestors[i] | 1 << i
-    causality = tuple(r | a for r, a in zip(reach, ancestors))
+    causality = tuple([r | a for r, a in zip(reach, ancestors)])
     return CausalStructure(procs, tuple(reach), causality)

@@ -85,7 +85,8 @@ def time_points(trace: Trace) -> TimeLine:
     intervals are never co-active.  A clique is emitted just before the first
     removal that follows at least one insertion; for interval graphs this
     yields exactly the maximal cliques, each once, ordered by their common
-    overlap window.
+    overlap window.  Raises ValueError naming the first process whose
+    interval does not end after it starts.
     """
     _timing(trace)
     ticks = trace.ticks
@@ -93,6 +94,8 @@ def time_points(trace: Trace) -> TimeLine:
     events = []
     for i, name in enumerate(names):
         start, end = ticks[name]
+        if end <= start:
+            raise ValueError(f"process {name} has non-positive duration")
         events.append((end, 0, i))
         events.append((start, 1, i))
     events.sort()

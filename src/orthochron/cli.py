@@ -9,6 +9,7 @@ oracle mismatch is found, 2 on usage, parse or validation errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from array import array
@@ -90,6 +91,11 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--procs", type=int, required=True)
     gen.add_argument("--messages", type=int, required=True)
     return parser
+
+
+# every main call parses with one parser, built on the first call: parse_args
+# and printing help, usage or the version leave it unchanged
+_main_parser = functools.cache(build_parser)
 
 
 def _load_trace(args: argparse.Namespace):
@@ -287,9 +293,8 @@ def run(args: argparse.Namespace, out: IO[str] | None = None, err: IO[str] | Non
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _main_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     return run(args)

@@ -341,7 +341,7 @@ def compare_laws(
     else:
         rng = random.Random(seed)
         assignments = (
-            tuple(rng.choice(atoms) for _ in metavars) for _ in range(trials)
+            tuple([rng.choice(atoms) for _ in metavars]) for _ in range(trials)
         )
 
     checked = 0

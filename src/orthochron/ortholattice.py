@@ -25,7 +25,7 @@ from functools import cached_property
 from itertools import product
 from typing import Iterable
 
-from .causal_core import CausalStructure, _bit_indices
+from .causal_core import CausalStructure
 
 __all__ = [
     "DEFAULT_CAP",
@@ -81,8 +81,17 @@ def is_closed(cs: CausalStructure, members: Iterable[str]) -> bool:
     return ortho_mask(cs, ortho_mask(cs, mask)) == mask
 
 
-def _canonical_key(mask: int):
-    return (mask.bit_count(), tuple(_bit_indices(mask)))
+def _canonical_order(family: Iterable[int], width: int) -> tuple[int, ...]:
+    """Masks of ``width`` bits by cardinality, then lexicographically by sorted
+    member ordinals, under one int key: the cardinality above the complement of
+    the bit-reversed mask.  Of two equal-size masks the lexicographically first
+    holds their lowest differing bit, which reversal makes the highest."""
+    full = (1 << width) - 1
+
+    def key(m: int) -> int:
+        return m.bit_count() << width | full ^ int(bin(m)[:1:-1].ljust(width, "0"), 2)
+
+    return tuple(sorted(family, key=key))
 
 
 def enumerate_closed(cs: CausalStructure, cap: int = DEFAULT_CAP) -> OrthoLattice:
@@ -104,9 +113,9 @@ def enumerate_closed(cs: CausalStructure, cap: int = DEFAULT_CAP) -> OrthoLattic
             family.add(member & generator)
             if len(family) > cap:
                 raise CapExceededError(cap, len(family))
-    masks = tuple(sorted(family, key=_canonical_key))
+    masks = _canonical_order(family, cs.size)
     position = {m: i for i, m in enumerate(masks)}
-    complement = tuple(position[ortho_mask(cs, m)] for m in masks)
+    complement = tuple([position[ortho_mask(cs, m)] for m in masks])
     return OrthoLattice(cs, masks, complement)
 
 
@@ -142,7 +151,7 @@ class OrthoLattice:
 
     @cached_property
     def elements(self) -> tuple[frozenset[str], ...]:
-        return tuple(self.structure.names_of(m) for m in self.masks)
+        return tuple([self.structure.names_of(m) for m in self.masks])
 
     @property
     def bottom(self) -> frozenset[str]:
@@ -228,7 +237,7 @@ class OrthoLattice:
         if failure is None:
             return LawCheck(law, True)
         indices, detail = failure
-        return LawCheck(law, False, tuple(self.elements[i] for i in indices), detail)
+        return LawCheck(law, False, tuple([self.elements[i] for i in indices]), detail)
 
     def to_json_dict(self) -> dict:
         return {

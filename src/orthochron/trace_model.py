@@ -131,11 +131,11 @@ class Trace:
 
     @cached_property
     def processes(self) -> tuple[ProcessId, ...]:
-        return tuple(p for site in self.sites for p in site.processes)
+        return tuple([p for site in self.sites for p in site.processes])
 
     @cached_property
     def names(self) -> tuple[str, ...]:
-        return tuple(p.name for p in self.processes)
+        return tuple([p.name for p in self.processes])
 
     @cached_property
     def _by_name(self) -> dict[str, ProcessId]:

@@ -9,10 +9,12 @@ whitespace, comment, CRLF and compact-punctuation variants, seeded ``gen``
 traces (timed, untimed copies and copies with signed decimal times) and a few
 broken inputs, one syntax error per directive among them, with every command,
 format, law, semantics and ``--cap``; one 600-process timed trace goes
-through ``validate``, ``timepoints`` and ``hb`` only.  Each request is one
+through ``validate``, ``timepoints`` and ``hb`` only, and ``--help`` is asked
+of the program and of every command.  Each request is one
 ``orthochron.cli.main(argv)`` call in this process, with the package
-imported from the checkout's ``src``.  Trace paths are relative to a
-temporary directory, so the lines do not depend on where the script runs.
+imported from the checkout's ``src``, so later requests reuse the parser of
+earlier ones.  Trace paths are relative to a temporary directory, so the
+lines do not depend on where the script runs.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from orthochron.cli import main  # noqa: E402
+from orthochron.cli import _COMMANDS, main  # noqa: E402
 from orthochron.ortholattice import LAWS  # noqa: E402
 
 GEN_SHAPES = [(1, 4, 0), (2, 3, 2), (3, 3, 4), (2, 5, 3), (4, 3, 6), (3, 8, 5)]
@@ -106,6 +108,9 @@ def write_corpus() -> dict[str, list[str]]:
 
 def corpus(atoms: dict[str, list[str]]):
     yield ["--version"]
+    yield ["--help"]
+    for command in _COMMANDS:
+        yield [command, "--help"]
     Path("wide.trace").write_text(request(WIDE)[1])
     yield ["validate", "wide.trace"]
     for fmt in ("text", "json"):

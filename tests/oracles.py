@@ -1,7 +1,9 @@
 """Naive reference implementations used only by the tests.
 
 Everything here recomputes results directly from definitions, by plain
-enumeration over subsets, tuples or fixpoint iteration.  The law scans try
+enumeration over subsets, tuples or fixpoint iteration.  ``canonical_key``
+sorts closed sets by a tuple of member ordinals, the reference for the int
+key of ``enumerate_closed``.  The law scans try
 every element pair or triple of an ``OrthoLattice``, the reference for
 ``OrthoLattice.check_laws``, which decides most verdicts without them.  The
 oracle filter, the two recursive evaluators, the substitution-based law
@@ -97,6 +99,22 @@ def brute_closed_family(cs):
             if brute_ortho(cs, brute_ortho(cs, subset)) == subset:
                 family.add(subset)
     return family
+
+
+def bit_indices(mask):
+    """Ordinals of the set bits, lowest first, one bit at a time."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def canonical_key(mask):
+    """Cardinality, then the sorted member ordinals: the reference for the
+    single int key ``enumerate_closed`` sorts by."""
+    return (mask.bit_count(), tuple(bit_indices(mask)))
 
 
 def brute_covers(family):

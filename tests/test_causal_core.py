@@ -6,11 +6,11 @@ import hypothesis.strategies as st
 import pytest
 
 from orthochron import CycleError, happened_before, parse_trace
-from orthochron.causal_core import CausalStructure, _bit_indices
+from orthochron.causal_core import CausalStructure
 from orthochron.trace_model import ProcessId, Site, Trace
 
 from conftest import random_trace
-from oracles import brute_happened_before
+from oracles import bit_indices, brute_happened_before
 
 FIG5_ORDER = {
     ("x1", "x2"), ("x1", "x3"), ("x2", "x3"),
@@ -168,6 +168,6 @@ def test_mask_decoding_matches_bit_indices(size):
     sparse = [rng.getrandbits(size) & rng.getrandbits(size) & rng.getrandbits(size) for _ in range(20)]
     dense = [rng.getrandbits(size) | rng.getrandbits(size) for _ in range(20)]
     for mask in [0, cs.full_mask, *(1 << i for i in range(size)), *sparse, *dense]:
-        expected = [cs.names[i] for i in _bit_indices(mask)]
+        expected = [cs.names[i] for i in bit_indices(mask)]
         assert cs.sorted_names_of(mask) == expected
         assert cs.names_of(mask) == frozenset(expected)

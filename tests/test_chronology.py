@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import hypothesis
 import hypothesis.strategies as st
 import pytest
@@ -10,6 +12,7 @@ from orthochron import (
     time_points,
 )
 from orthochron.chronology import earlier
+from orthochron.trace_model import Trace
 
 from conftest import random_trace, rational_traces
 from oracles import brute_time_points
@@ -90,6 +93,14 @@ def test_untimed_trace_is_rejected(fig5):
         time_points(fig5)
     with pytest.raises(UntimedTraceError):
         simultaneous(fig5, "x1", "y1")
+
+
+@pytest.mark.parametrize("span", [(1, 1), (2, 1)])
+def test_non_positive_duration_is_a_value_error(fig2, span):
+    # only a directly built Trace can hold such timing; the CLI loader rejects it
+    trace = Trace(fig2.sites, fig2.messages, {**fig2.timing, "p1": tuple(map(Fraction, span))})
+    with pytest.raises(ValueError, match="^process p1 has non-positive duration$"):
+        time_points(trace)
 
 
 def test_unknown_process_interval(fig2):

@@ -1,11 +1,17 @@
+import argparse
+import contextlib
+import gc
+import io
 import json
 import random
 import time
+import tracemalloc
 
 import pytest
 
 from orthochron import CausalStructure, ProcessId, happened_before, parse_trace
-from orthochron.cli import _COMMANDS, closed_sets_by_definition, main
+from orthochron import cli as cli_module
+from orthochron.cli import _COMMANDS, build_parser, closed_sets_by_definition, main
 
 import oracles
 from conftest import fixture_path, random_trace
@@ -485,6 +491,83 @@ def test_output_is_byte_stable(cli):
     first = cli("lattice", FIG7, "--format", "json")
     second = cli("lattice", FIG7, "--format", "json")
     assert first == second
+
+
+# valid requests, and requests that end inside argparse, sent between them
+REQUESTS = [
+    ("laws", FIG7, "--law", "distributivity"),
+    ("laws", FIG2, "--law", "de-morgan", "--semantics", "boolean"),
+    ("eval", FIG7, "--formula", "(p2 | p3) & q3", "--format", "json"),
+    ("hb", FIG5),
+    ("lattice", MO2, "--format", "dot", "--cap", "9"),
+    ("oracle", FIG7),
+    ("gen", "--seed", "1", "--sites", "2", "--procs", "2", "--messages", "1"),
+]
+PARSER_EXITS = [
+    ("--help",),
+    ("laws", "--help"),
+    ("--version",),
+    (),
+    ("laws", MO2, "--law", "associativity"),
+    ("eval", MO2),
+    ("lattice", MO2, "--cap", "many"),
+]
+
+
+def test_main_builds_no_parser_after_the_first(cli, monkeypatch):
+    cli(*REQUESTS[0])
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for argv in REQUESTS + PARSER_EXITS + REQUESTS:
+        cli(*argv)
+    assert built == []
+
+
+def test_parser_exits_between_requests_change_no_bytes(cli, monkeypatch):
+    sequence = [argv for pair in zip(REQUESTS, PARSER_EXITS) for argv in pair] * 2
+    shared = [cli(*argv) for argv in sequence]
+    # the same requests, each parsed by a parser built for it alone
+    monkeypatch.setattr(cli_module, "_main_parser", build_parser)
+    fresh = [cli(*argv) for argv in sequence]
+    assert shared == fresh
+    assert [code for code, _, _ in fresh] == [1, 0, 0, 0, 0, 0, 0, 2, 0, 2, 0, 2, 0, 2] * 2
+
+
+def test_requests_leave_free_lists_for_no_collection_to_empty():
+    """A full collection empties CPython's tuple free lists.  A tuple built
+    from a generator starts at 10 slots and is shrunk to its size, so each
+    request would move one tuple per size onto them; after 200 bursts a full
+    collection would then reclaim hundreds of kilobytes."""
+    burst = [
+        ["laws", FIG7, "--law", "distributivity"],
+        ["eval", FIG7, "--formula", "(p2 | p3) & q3"],
+        ["hb", FIG7, "--format", "json"],
+        ["oracle", FIG7],
+    ]
+
+    def send(count):
+        for _ in range(count):
+            for argv in burst:
+                with contextlib.redirect_stdout(io.StringIO()):
+                    main(argv)
+
+    send(20)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        send(200)
+        before = tracemalloc.get_traced_memory()[0]
+        gc.collect()
+        reclaimed = before - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert reclaimed < 64 * 1024
 
 
 def test_oracle_limit_states_the_bound(cli, tmp_path):

@@ -16,11 +16,18 @@ from orthochron import (
     ortho,
     parse_trace,
 )
-from orthochron.ortholattice import LAWS, LawCheck, OrthoLattice, format_members, ortho_mask
+from orthochron.ortholattice import (
+    LAWS,
+    LawCheck,
+    OrthoLattice,
+    _canonical_order,
+    format_members,
+    ortho_mask,
+)
 
 from conftest import load_fixture, random_trace
 from fig7_family import DOCUMENTED, EXTRA, FULL
-from oracles import REFERENCE_SCANS, brute_closed_family, brute_covers, brute_ortho
+from oracles import REFERENCE_SCANS, brute_closed_family, brute_covers, brute_ortho, canonical_key
 
 MO2_ELEMENTS = (
     frozenset(),
@@ -111,6 +118,34 @@ def test_canonical_element_order(fig7_lattice):
         for members in fig7_lattice.elements
     ]
     assert keys == sorted(keys)
+
+
+@pytest.mark.parametrize("width", range(1, 41))
+def test_int_key_sorts_as_the_ordinal_key(width):
+    rng = random.Random(width)
+    full = (1 << width) - 1
+    for _ in range(20):
+        family = {0, full, *(1 << i for i in range(width))}
+        family.update(rng.getrandbits(width) & rng.getrandbits(width) for _ in range(rng.randint(0, 60)))
+        family.update(rng.getrandbits(width) | rng.getrandbits(width) for _ in range(rng.randint(0, 60)))
+        assert _canonical_order(family, width) == tuple(sorted(family, key=canonical_key))
+
+
+def _masks_by_ordinal_key(trace):
+    lattice = enumerate_closed(happened_before(trace))
+    return lattice.masks, tuple(sorted(lattice.masks, key=canonical_key))
+
+
+@pytest.mark.parametrize("name", ["fig2.trace", "fig5.trace", "fig7.trace", "mo2.trace", "single-site.trace"])
+def test_masks_in_ordinal_key_order_on_fixtures(name):
+    masks, expected = _masks_by_ordinal_key(load_fixture(name))
+    assert masks == expected
+
+
+@pytest.mark.parametrize("seed", range(1, 13))
+def test_masks_in_ordinal_key_order_on_random_traces(seed):
+    masks, expected = _masks_by_ordinal_key(random_trace(seed, seed % 4 + 2, seed % 3 + 2, seed % 5))
+    assert masks == expected
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
