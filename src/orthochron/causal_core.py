@@ -151,8 +151,11 @@ def happened_before(trace: Trace) -> CausalStructure:
     for site in trace.sites:
         for a, b in zip(site.processes, site.processes[1:]):
             direct[index[a.name]].append(index[b.name])
-    for message in trace.messages:
-        direct[index[message.sender.name]].append(index[message.receiver.name])
+    try:
+        for message in trace.messages:
+            direct[index[message.sender.name]].append(index[message.receiver.name])
+    except KeyError as missing:
+        raise ValueError(f"message endpoint {missing.args[0]} is not a process of this trace") from None
 
     order = _topological_order(n, direct)
     if len(order) < n:

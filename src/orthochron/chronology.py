@@ -85,15 +85,18 @@ def time_points(trace: Trace) -> TimeLine:
     intervals are never co-active.  A clique is emitted just before the first
     removal that follows at least one insertion; for interval graphs this
     yields exactly the maximal cliques, each once, ordered by their common
-    overlap window.  Raises ValueError naming the first process whose
-    interval does not end after it starts.
+    overlap window.  Raises ValueError naming the first process that has no
+    time entry or whose interval does not end after it starts.
     """
     _timing(trace)
     ticks = trace.ticks
     names = trace.names
     events = []
     for i, name in enumerate(names):
-        start, end = ticks[name]
+        try:
+            start, end = ticks[name]
+        except KeyError:
+            raise ValueError(f"process {name} has no time entry") from None
         if end <= start:
             raise ValueError(f"process {name} has non-positive duration")
         events.append((end, 0, i))

@@ -45,7 +45,6 @@ __all__ = [
     "eval_ortho",
     "compare_laws",
     "LawComparison",
-    "EXHAUSTIVE_LIMIT",
 ]
 
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
 from typing import Iterable
 
 from .causal_core import CausalStructure
@@ -113,10 +112,7 @@ def enumerate_closed(cs: CausalStructure, cap: int = DEFAULT_CAP) -> OrthoLattic
             family.add(member & generator)
             if len(family) > cap:
                 raise CapExceededError(cap, len(family))
-    masks = _canonical_order(family, cs.size)
-    position = {m: i for i, m in enumerate(masks)}
-    complement = tuple([position[ortho_mask(cs, m)] for m in masks])
-    return OrthoLattice(cs, masks, complement)
+    return OrthoLattice(cs, _canonical_order(family, cs.size))
 
 
 def format_members(names: Iterable[str]) -> str:
@@ -136,11 +132,11 @@ class LawCheck:
 
 @dataclass(frozen=True)
 class OrthoLattice:
-    """All closed sets of a causal structure, in canonical order."""
+    """All closed sets of a causal structure, in canonical order; the complement
+    of each is looked up, when first needed, as its ``ortho_mask``."""
 
     structure: CausalStructure
     masks: tuple[int, ...]
-    complement: tuple[int, ...]
 
     def __len__(self) -> int:
         return len(self.masks)
@@ -148,6 +144,12 @@ class OrthoLattice:
     @cached_property
     def _position(self) -> dict[int, int]:
         return {m: i for i, m in enumerate(self.masks)}
+
+    @cached_property
+    def complement(self) -> tuple[int, ...]:
+        """For each element, the index of its orthocomplement."""
+        cs, pos = self.structure, self._position
+        return tuple([pos[ortho_mask(cs, m)] for m in self.masks])
 
     @cached_property
     def elements(self) -> tuple[frozenset[str], ...]:
@@ -218,21 +220,24 @@ class OrthoLattice:
     @cached_property
     def _certified(self) -> bool:
         """Whether this is the closed-set family of its structure, in O(n*P): the top is
-        full, every m & N_p is an element, the complement is ortho_mask and an involution."""
-        cs, pos, comp = self.structure, self._position, self.complement
+        full, every m & N_p is an element (so every ortho_mask is one), and the
+        complement is an involution (so every element is closed)."""
+        cs, pos = self.structure, self._position
         return (
             self.masks[-1] == cs.full_mask
             and all((m & g) in pos for m in self.masks for g in cs.causality_masks)
-            and all(pos.get(ortho_mask(cs, m)) == c for m, c in zip(self.masks, comp, strict=True))
-            and all(comp[c] == i for i, c in enumerate(comp))
+            and all(self.complement[c] == i for i, c in enumerate(self.complement))
         )
 
     def check_laws(self, law: str) -> LawCheck:
-        """Decide one law over the whole lattice; only a failing law, or a lattice
-        that is not certified as a closed-set family, is scanned.  A counterexample
-        is the first failing tuple in lexicographic canonical-index order."""
+        """Decide one law over the whole lattice and scan only a failing one, for the
+        first failing tuple in lexicographic canonical-index order.  Every law but
+        orthomodularity is decided from the certificate: on a lattice that fails it,
+        raises ValueError."""
         if law not in LAWS:
             raise ValueError(f"unknown law {law!r}; expected one of {', '.join(LAWS)}")
+        if law != "orthomodularity" and not self._certified:
+            raise ValueError(f"{law} is decided only on the closed-set lattice of a causal structure")
         failure = LAWS[law][1](self)
         if failure is None:
             return LawCheck(law, True)
@@ -256,53 +261,16 @@ class OrthoLattice:
         return "\n".join(lines) + "\n"
 
 
-def _first_pair(lat: OrthoLattice, pairs, failure):
-    """The first of the (i, j) pairs where failure(i, j) names what fails, with the
-    detail "<what fails> at a = <i>, b = <j>"."""
-    for i, j in pairs:
-        what = failure(i, j)
-        if what:
-            return (i, j), f"{what} at a = {lat._fmt(i)}, b = {lat._fmt(j)}"
-    return None
-
-
 def _scan_axioms(lat: OrthoLattice):
-    n = len(lat.masks)
-    masks = lat.masks
-    comp = lat.complement
-    if masks[0] != 0 or masks[-1] != lat.structure.full_mask:
-        return (), "bottom or top missing"
+    # certified: the top is full, the complement an involution and, as
+    # ortho_mask, antitone; a reflexive structure still fails a & ~a = 0
+    masks, comp, n = lat.masks, lat.complement, len(lat.masks)
     for i in range(n):
-        if comp[comp[i]] != i:
-            return (i,), f"complement not involutive at a = {lat._fmt(i)}"
         if masks[i] & masks[comp[i]] != 0:
             return (i,), f"a & ~a != {{}} at a = {lat._fmt(i)}"
         if lat._join_index(i, comp[i]) != n - 1:
             return (i,), f"a | ~a != top at a = {lat._fmt(i)}"
-    if lat._certified:  # ortho_mask is antitone, and an involution on closed sets
-        return None
-
-    def antitone(i: int, j: int):
-        forward = masks[i] & masks[j] == masks[i]
-        mirrored = masks[comp[j]] & masks[comp[i]] == masks[comp[j]]
-        return "inclusion not antitone under complement" if forward != mirrored else None
-
-    return _first_pair(lat, product(range(n), repeat=2), antitone)
-
-
-def _scan_de_morgan(lat: OrthoLattice):
-    if lat._certified:  # join is defined through the complement, an involution
-        return None
-    comp = lat.complement
-
-    def failure(i: int, j: int):
-        if comp[lat._join_index(i, j)] != lat._meet_index(comp[i], comp[j]):
-            return "~(a | b) != ~a & ~b"
-        if comp[lat._meet_index(i, j)] != lat._join_index(comp[i], comp[j]):
-            return "~(a & b) != ~a | ~b"
-        return None
-
-    return _first_pair(lat, product(range(len(lat.masks)), repeat=2), failure)
+    return None
 
 
 def _distributive(lat: OrthoLattice) -> bool:
@@ -323,23 +291,18 @@ def _distributive(lat: OrthoLattice) -> bool:
 
 
 def _scan_distributivity(lat: OrthoLattice):
-    # a certified lattice skips the triples where the law holds in any lattice:
+    # skip the triples where the law holds in any lattice:
     # a and b comparable, c <= a, c <= b, or c >= a | b
-    prune = lat._certified
-    if prune and _distributive(lat):
+    if _distributive(lat):
         return None
-    n = len(lat.masks)
     masks = lat.masks
-    for i in range(n):
-        mi = masks[i]
-        for j in range(n):
-            mj = masks[j]
-            if prune and mi & mj in (mi, mj):
+    for i, mi in enumerate(masks):
+        for j, mj in enumerate(masks):
+            if mi & mj in (mi, mj):
                 continue
             join_mask = masks[lat._join_index(i, j)]
-            for k in range(n):
-                mk = masks[k]
-                if prune and (mk & mi == mk or mk & mj == mk or mk & join_mask == join_mask):
+            for k, mk in enumerate(masks):
+                if mk & mi == mk or mk & mj == mk or mk & join_mask == join_mask:
                     continue
                 lhs = join_mask & mk
                 rhs_index = lat._join_index(lat._meet_index(i, k), lat._meet_index(j, k))
@@ -353,25 +316,29 @@ def _scan_distributivity(lat: OrthoLattice):
 
 
 def _scan_orthomodularity(lat: OrthoLattice):
-    masks = lat.masks
-    comp = lat.complement
-    below = ((i, j) for i, a in enumerate(masks) for j, b in enumerate(masks) if a & b == a)
-
-    def failure(i: int, j: int):
-        rhs = lat._join_index(i, lat._meet_index(comp[i], j))
-        return f"a <= b but a | (~a & b) = {lat._fmt(rhs)} != b" if rhs != j else None
-
-    return _first_pair(lat, below, failure)
+    masks, comp = lat.masks, lat.complement
+    for i, a in enumerate(masks):
+        for j, b in enumerate(masks):
+            if a & b != a:
+                continue
+            rhs = lat._join_index(i, lat._meet_index(comp[i], j))
+            if rhs != j:
+                return (i, j), (
+                    f"a <= b but a | (~a & b) = {lat._fmt(rhs)} != b "
+                    f"at a = {lat._fmt(i)}, b = {lat._fmt(j)}"
+                )
+    return None
 
 
 # law name -> (Boolean identity templates, lattice check).  Template atoms are
 # metavariables instantiated with process names; a check returns the first
-# failing (element indices, detail) in canonical-index order, or None.  On a
-# certified lattice De Morgan and antitone complements are theorems and
-# distributivity is decided; the rest is scanned.
+# failing (element indices, detail) in canonical-index order, or None.  Every
+# check but orthomodularity's runs only on a certified lattice, where De Morgan
+# and antitone complements are theorems and distributivity is decided;
+# orthomodularity is scanned over the comparable pairs.
 LAWS = {
     "ortholattice-axioms": ((("~~a", "a"), ("a & ~a", "0"), ("a | ~a", "1")), _scan_axioms),
-    "de-morgan": ((("~(a & b)", "~a | ~b"), ("~(a | b)", "~a & ~b")), _scan_de_morgan),
+    "de-morgan": ((("~(a & b)", "~a | ~b"), ("~(a | b)", "~a & ~b")), lambda lat: None),
     "distributivity": ((("(a | b) & c", "(a & c) | (b & c)"),), _scan_distributivity),
     "orthomodularity": ((("a | (~a & (a | b))", "a | b"),), _scan_orthomodularity),
 }

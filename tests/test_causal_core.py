@@ -7,7 +7,7 @@ import pytest
 
 from orthochron import CycleError, happened_before, parse_trace
 from orthochron.causal_core import CausalStructure
-from orthochron.trace_model import ProcessId, Site, Trace
+from orthochron.trace_model import Message, ProcessId, Site, Trace
 
 from conftest import random_trace
 from oracles import bit_indices, brute_happened_before
@@ -117,6 +117,14 @@ def test_duplicate_names_rejected():
     site_y = Site("y", (ProcessId(1, 0, "a"),))
     with pytest.raises(ValueError):
         happened_before(Trace((site_x, site_y)))
+
+
+def test_unknown_message_endpoint_rejected():
+    site_x = Site("x", (ProcessId(0, 0, "a"),))
+    site_y = Site("y", (ProcessId(1, 0, "b"),))
+    ghost = Message(site_x.processes[0], ProcessId(1, 1, "ghost"))
+    with pytest.raises(ValueError, match="^message endpoint ghost is not a process of this trace$"):
+        happened_before(Trace((site_x, site_y), (ghost,)))
 
 
 def test_mask_round_trip(fig7):

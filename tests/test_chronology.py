@@ -103,6 +103,13 @@ def test_non_positive_duration_is_a_value_error(fig2, span):
         time_points(trace)
 
 
+def test_missing_time_entry_is_a_value_error(fig2):
+    # only a directly built Trace can lack an entry; the CLI loader rejects it
+    timing = {name: span for name, span in fig2.timing.items() if name != "p1"}
+    with pytest.raises(ValueError, match="^process p1 has no time entry$"):
+        time_points(Trace(fig2.sites, fig2.messages, timing))
+
+
 def test_unknown_process_interval(fig2):
     with pytest.raises(KeyError):
         time_points(fig2).interval("nope")

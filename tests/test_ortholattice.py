@@ -352,41 +352,19 @@ def test_check_laws_match_reference_scans(kind, n):
             assert not expected.holds
 
 
-def _corrupt_lattices(mo2_lattice, fig7_lattice):
-    # the complement of mo2 is sent round a 4-cycle of its atoms: not an involution
-    cycled = OrthoLattice(mo2_lattice.structure, mo2_lattice.masks, (5, 2, 3, 4, 1, 0))
-    # identity complement on the 4-element Boolean lattice
-    square = enumerate_closed(happened_before(parse_trace("site s : a b\n")))
-    identity = OrthoLattice(square.structure, square.masks, (0, 1, 2, 3))
-    # fig7 with the pairs ({p1}, ~{p1}) and (x, ~x) re-paired as ({p1}, ~x) and
-    # (x, ~{p1}): an involution meeting a & ~a = 0 and a | ~a = top, not antitone
-    comp = list(fig7_lattice.complement)
-    a, x = 1, 5
-    not_a, not_x = comp[a], comp[x]
-    comp[a], comp[not_x], comp[x], comp[not_a] = not_x, a, not_a, x
-    repaired = OrthoLattice(fig7_lattice.structure, fig7_lattice.masks, tuple(comp))
-    # fig7 with the unclosed {p1, q1} added and every complement the ortho_mask
+def test_check_laws_reject_uncertified_lattices(mo2_lattice, fig7_lattice):
+    # fig7 with the unclosed {p1, q1} added: the complement is not an involution
     cs = fig7_lattice.structure
-    masks = fig7_lattice.masks[:-1] + (cs.mask_of({"p1", "q1"}), cs.full_mask)
-    position = {m: i for i, m in enumerate(masks)}
-    unclosed = OrthoLattice(cs, masks, tuple(position[ortho_mask(cs, m)] for m in masks))
+    unclosed = OrthoLattice(cs, fig7_lattice.masks[:-1] + (cs.mask_of({"p1", "q1"}), cs.full_mask))
     # only the bottom and the top of mo2: not closed under meeting a neighbourhood
-    ends = OrthoLattice(mo2_lattice.structure, (0, mo2_lattice.structure.full_mask), (1, 0))
-    return [cycled, identity, repaired, unclosed, ends]
-
-
-def test_check_laws_falls_back_on_corrupt_lattices(mo2_lattice, fig7_lattice):
-    corrupt = _corrupt_lattices(mo2_lattice, fig7_lattice)
-    for lattice in corrupt:
+    ends = OrthoLattice(mo2_lattice.structure, (0, mo2_lattice.structure.full_mask))
+    for lattice in (unclosed, ends):
         assert not lattice._certified
-        for law in LAWS:
-            assert lattice.check_laws(law) == _reference_check(lattice, law)
-    cycled, identity, repaired = corrupt[:3]
-    assert cycled.check_laws("de-morgan").detail == "~(a | b) != ~a & ~b at a = {}, b = {p1}"
-    assert identity.check_laws("ortholattice-axioms").detail == "a | ~a != top at a = {}"
-    assert repaired.check_laws("ortholattice-axioms").detail == (
-        "inclusion not antitone under complement at a = {p1}, b = {p1, p2}"
-    )
+        for law in ("ortholattice-axioms", "de-morgan", "distributivity"):
+            with pytest.raises(ValueError, match=f"^{law} is decided only on the closed-set"):
+                lattice.check_laws(law)
+        law = "orthomodularity"
+        assert lattice.check_laws(law) == _reference_check(lattice, law)
 
 
 def test_law_decisions_scale():
@@ -500,6 +478,7 @@ def test_enumeration_matches_brute_force_on_random_traces(seed):
     cs = happened_before(trace)
     lattice = enumerate_closed(cs)
     assert set(lattice.elements) == brute_closed_family(cs)
+    assert lattice._certified
 
 
 @hypothesis.given(st.integers(min_value=1, max_value=10**9))
