@@ -40,46 +40,31 @@ from .ortholattice import (
     ortho,
 )
 from .logic_eval import (
-    And,
-    Atom,
-    Bottom,
-    Formula,
     FormulaSyntaxError,
     LawComparison,
-    Not,
-    Or,
-    Top,
     compare_laws,
     eval_boolean,
     eval_ortho,
-    format_formula,
     parse_formula,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "And",
-    "Atom",
-    "Bottom",
     "CapExceededError",
     "CausalStructure",
     "CycleError",
     "DEFAULT_CAP",
-    "Formula",
     "FormulaSyntaxError",
     "LawCheck",
     "LawComparison",
     "LAWS",
     "Message",
     "MessageBudgetError",
-    "Not",
-    "Or",
     "OrthoLattice",
     "ProcessId",
     "Site",
     "TimeLine",
-    "Top",
     "Trace",
     "TraceParseError",
     "UntimedTraceError",
@@ -89,7 +74,6 @@ __all__ = [
     "enumerate_closed",
     "eval_boolean",
     "eval_ortho",
-    "format_formula",
     "gen_random",
     "happened_before",
     "is_closed",

@@ -2,7 +2,7 @@ r"""Propositional formulas over process atoms, with two semantics: Boolean
 over time points of a timed trace, and orthologic over closed process sets
 of a causal structure.
 
-Grammar (recursive descent, ASCII synonyms accepted)::
+Grammar (ASCII synonyms accepted)::
 
     formula := or
     or      := and { ("|" | "\/" | "or") and }
@@ -11,6 +11,10 @@ Grammar (recursive descent, ASCII synonyms accepted)::
     atom    := NAME | "0" | "1" | "(" formula ")"
 
 Precedence is not > and > or, both binary operators left-associative.
+``parse_formula`` reads the grammar into its postfix program: a tuple of
+process names, "0", "1", "~", "&" and "|", with the operands in text order
+and each operator after its operands.  Parsing and evaluation keep explicit
+stacks, so only the length of the text bounds the nesting depth.
 Under Boolean semantics an atom denotes the set of time points its process
 belongs to; negation is set complement.  Under orthologic semantics an atom
 denotes the closure of its singleton; negation is the orthocomplement and
@@ -31,57 +35,13 @@ from .chronology import TimeLine
 from .ortholattice import ortho_mask
 
 __all__ = [
-    "Formula",
-    "Atom",
-    "Not",
-    "And",
-    "Or",
-    "Bottom",
-    "Top",
     "FormulaSyntaxError",
     "parse_formula",
-    "format_formula",
     "eval_boolean",
     "eval_ortho",
     "compare_laws",
     "LawComparison",
 ]
-
-
-class Formula:
-    """Base class of formula nodes."""
-
-
-@dataclass(frozen=True)
-class Atom(Formula):
-    name: str
-
-
-@dataclass(frozen=True)
-class Not(Formula):
-    child: Formula
-
-
-@dataclass(frozen=True)
-class And(Formula):
-    left: Formula
-    right: Formula
-
-
-@dataclass(frozen=True)
-class Or(Formula):
-    left: Formula
-    right: Formula
-
-
-@dataclass(frozen=True)
-class Bottom(Formula):
-    pass
-
-
-@dataclass(frozen=True)
-class Top(Formula):
-    pass
 
 
 class FormulaSyntaxError(ValueError):
@@ -90,21 +50,25 @@ class FormulaSyntaxError(ValueError):
         self.position = position
 
 
-_FORMULA_TOKEN = re.compile(r"(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>/\\|\\/|[~!&|()01])")
+_FORMULA_TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|/\\|\\/|[~!&|()01]")
 
-_WORD_KINDS = {"not": "not", "and": "and", "or": "or"}
-_SYMBOL_KINDS = {
-    "~": "not",
-    "!": "not",
-    "&": "and",
-    "/\\": "and",
-    "|": "or",
-    "\\/": "or",
-    "(": "lparen",
-    ")": "rparen",
-    "0": "bottom",
-    "1": "top",
+# token text -> its program symbol or parenthesis; names, "0" and "1" are operands
+_KINDS = {
+    "not": "~",
+    "~": "~",
+    "!": "~",
+    "and": "&",
+    "&": "&",
+    "/\\": "&",
+    "or": "|",
+    "|": "|",
+    "\\/": "|",
+    "(": "(",
+    ")": ")",
 }
+_PRECEDENCE = {"(": 0, "|": 1, "&": 2, "~": 3}
+_SYMBOLS = frozenset({"0", "1", "~", "&", "|"})
+_EXPECTED_OPERAND = "expected an atom, '0', '1', '(' or a negation"
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -118,107 +82,46 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
         if match is None:
             raise FormulaSyntaxError(f"unexpected character {text[pos]!r}", pos + 1)
         value = match.group()
-        if match.lastgroup == "name":
-            kind = _WORD_KINDS.get(value, "atom")
-        else:
-            kind = _SYMBOL_KINDS[value]
-        tokens.append((kind, value, pos + 1))
+        tokens.append((_KINDS.get(value, "atom"), value, pos + 1))
         pos = match.end()
     return tokens
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.end_position = len(text) + 1
-        self.cursor = 0
-
-    def peek(self) -> str | None:
-        if self.cursor < len(self.tokens):
-            return self.tokens[self.cursor][0]
-        return None
-
-    def advance(self) -> tuple[str, str, int]:
-        token = self.tokens[self.cursor]
-        self.cursor += 1
-        return token
-
-    def fail(self, message: str):
-        if self.cursor < len(self.tokens):
-            _, value, position = self.tokens[self.cursor]
-            raise FormulaSyntaxError(f"{message}, found {value!r}", position)
-        raise FormulaSyntaxError(f"{message} at end of input", self.end_position)
-
-    def parse_or(self) -> Formula:
-        node = self.parse_and()
-        while self.peek() == "or":
-            self.advance()
-            node = Or(node, self.parse_and())
-        return node
-
-    def parse_and(self) -> Formula:
-        node = self.parse_not()
-        while self.peek() == "and":
-            self.advance()
-            node = And(node, self.parse_not())
-        return node
-
-    def parse_not(self) -> Formula:
-        if self.peek() == "not":
-            self.advance()
-            return Not(self.parse_not())
-        return self.parse_atom()
-
-    def parse_atom(self) -> Formula:
-        kind = self.peek()
-        if kind == "atom":
-            return Atom(self.advance()[1])
-        if kind == "bottom":
-            self.advance()
-            return Bottom()
-        if kind == "top":
-            self.advance()
-            return Top()
-        if kind == "lparen":
-            self.advance()
-            node = self.parse_or()
-            if self.peek() != "rparen":
-                self.fail("expected ')'")
-            self.advance()
-            return node
-        self.fail("expected an atom, '0', '1', '(' or a negation")
-        raise AssertionError("unreachable")
-
-
-def parse_formula(text: str) -> Formula:
-    parser = _Parser(text)
-    node = parser.parse_or()
-    if parser.peek() is not None:
-        parser.fail("unexpected trailing input")
-    return node
-
-
-def format_formula(formula: Formula) -> str:
-    """Render with the canonical ~ & | spelling and minimal parentheses."""
-
-    def go(node: Formula, needed: int) -> str:
-        if isinstance(node, Atom):
-            return node.name
-        if isinstance(node, Bottom):
-            return "0"
-        if isinstance(node, Top):
-            return "1"
-        if isinstance(node, Not):
-            text, precedence = "~" + go(node.child, 3), 3
-        elif isinstance(node, And):
-            text, precedence = f"{go(node.left, 2)} & {go(node.right, 3)}", 2
-        elif isinstance(node, Or):
-            text, precedence = f"{go(node.left, 1)} | {go(node.right, 2)}", 1
+def parse_formula(text: str) -> tuple[str, ...]:
+    """The formula's postfix program, by precedence climbing over an explicit
+    stack of pending operators and open parentheses."""
+    program: list[str] = []
+    pending: list[str] = []
+    depth = 0  # open parentheses on ``pending``
+    operand = True  # whether the next token must start an operand
+    for kind, value, position in _tokenize(text):
+        if operand and kind == "atom":
+            program.append(value)
+            operand = False
+        elif operand and kind in ("~", "("):
+            pending.append(kind)
+            depth += kind == "("
+        elif not operand and kind in ("&", "|"):
+            while pending and _PRECEDENCE[pending[-1]] >= _PRECEDENCE[kind]:
+                program.append(pending.pop())
+            pending.append(kind)
+            operand = True
+        elif not operand and depth and kind == ")":
+            while (op := pending.pop()) != "(":
+                program.append(op)
+            depth -= 1
         else:
-            raise TypeError(f"not a formula node: {node!r}")
-        return f"({text})" if precedence < needed else text
-
-    return go(formula, 0)
+            message = (
+                _EXPECTED_OPERAND if operand
+                else "expected ')'" if depth
+                else "unexpected trailing input"
+            )
+            raise FormulaSyntaxError(f"{message}, found {value!r}", position)
+    if operand or depth:
+        message = _EXPECTED_OPERAND if operand else "expected ')'"
+        raise FormulaSyntaxError(f"{message} at end of input", len(text) + 1)
+    program.extend(reversed(pending))
+    return tuple(program)
 
 
 def _algebra(model: TimeLine | CausalStructure):
@@ -243,25 +146,22 @@ def _algebra(model: TimeLine | CausalStructure):
     return model.names, value, (complement, join, model.full_mask)
 
 
-def _compile(node: Formula, algebra, atoms: dict[str, None]):
-    """Closure from an atom -> value environment to the formula's value in
-    the algebra; adds the formula's atoms to ``atoms`` in order of first use."""
-    complement, join, top = algebra
-    if isinstance(node, Atom):
-        atoms.setdefault(node.name)
-        return operator.itemgetter(node.name)
-    if isinstance(node, Not):
-        child = _compile(node.child, algebra, atoms)
-        return lambda env: complement(child(env))
-    if isinstance(node, (And, Or)):
-        left = _compile(node.left, algebra, atoms)
-        right = _compile(node.right, algebra, atoms)
-        op = operator.and_ if isinstance(node, And) else join
-        return lambda env: op(left(env), right(env))
-    if isinstance(node, (Bottom, Top)):
-        constant = top if isinstance(node, Top) else 0
-        return lambda env: constant
-    raise TypeError(f"not a formula node: {node!r}")
+def _run(program: tuple[str, ...], columns: dict[str, list[int]], algebra) -> list[int]:
+    """The program's values, one per instantiation: operands are looked up in
+    ``columns``, "~" maps the complement over the top column of the stack, and
+    "&" and "|" map meet and join over the top two."""
+    complement, join, _ = algebra
+    binary = {"&": operator.and_, "|": join}
+    stack = []
+    for token in program:
+        if token == "~":
+            stack[-1] = list(map(complement, stack[-1]))
+        elif token in binary:
+            right = stack.pop()
+            stack[-1] = list(map(binary[token], stack[-1], right))
+        else:
+            stack.append(columns[token])
+    return stack[-1]
 
 
 def _decode(model: TimeLine | CausalStructure, mask: int) -> frozenset:
@@ -271,24 +171,25 @@ def _decode(model: TimeLine | CausalStructure, mask: int) -> frozenset:
     return model.names_of(mask)
 
 
-def _evaluate(formula: Formula, model: TimeLine | CausalStructure) -> frozenset:
+def _evaluate(program: tuple[str, ...], model: TimeLine | CausalStructure) -> frozenset:
     _, value, algebra = _algebra(model)
-    atoms: dict[str, None] = {}
-    evaluate = _compile(formula, algebra, atoms)
-    try:
-        env = {name: value(name) for name in atoms}
-    except KeyError as exc:
-        raise ValueError(f"unknown atom {exc.args[0]!r}") from None
-    return _decode(model, evaluate(env))
+    columns = {"0": [0], "1": [algebra[2]]}
+    for token in program:
+        if token not in _SYMBOLS and token not in columns:
+            try:
+                columns[token] = [value(token)]
+            except KeyError:
+                raise ValueError(f"unknown atom {token!r}") from None
+    return _decode(model, _run(program, columns, algebra)[0])
 
 
-def eval_boolean(formula: Formula, timeline: TimeLine) -> frozenset[int]:
-    """Set of time point indices at which the formula holds."""
+def eval_boolean(formula: tuple[str, ...], timeline: TimeLine) -> frozenset[int]:
+    """Set of time point indices at which the formula's program holds."""
     return _evaluate(formula, timeline)
 
 
-def eval_ortho(formula: Formula, cs: CausalStructure) -> frozenset[str]:
-    """Closed process set denoted by the formula."""
+def eval_ortho(formula: tuple[str, ...], cs: CausalStructure) -> frozenset[str]:
+    """Closed process set denoted by the formula's program."""
     return _evaluate(formula, cs)
 
 
@@ -323,41 +224,42 @@ def compare_laws(
 
     Runs exhaustively when the instantiation count is at most
     EXHAUSTIVE_LIMIT, otherwise samples ``trials`` assignments from
-    ``random.Random(seed)``; the report says which happened.
+    ``random.Random(seed)``; the report says which happened.  Each side runs
+    once over all instantiations, one column per metavariable, and the first
+    instantiation where the sides differ is the counterexample.
     """
     lhs_source, rhs_source = identity
+    lhs, rhs = parse_formula(lhs_source), parse_formula(rhs_source)
+    metavars = list(dict.fromkeys(token for token in lhs + rhs if token not in _SYMBOLS))
     atoms, value, algebra = _algebra(model)
-    seen: dict[str, None] = {}
-    left_of = _compile(parse_formula(lhs_source), algebra, seen)
-    right_of = _compile(parse_formula(rhs_source), algebra, seen)
-    metavars = list(seen)
     values = {atom: value(atom) for atom in atoms}
 
     total = len(atoms) ** len(metavars)
     exhaustive = total <= EXHAUSTIVE_LIMIT
     if exhaustive:
-        assignments = itertools.product(atoms, repeat=len(metavars))
+        combos = list(itertools.product(atoms, repeat=len(metavars)))
     else:
         rng = random.Random(seed)
-        assignments = (
-            tuple([rng.choice(atoms) for _ in metavars]) for _ in range(trials)
-        )
+        combos = [tuple([rng.choice(atoms) for _ in metavars]) for _ in range(trials)]
+    columns = {"0": [0] * len(combos), "1": [algebra[2]] * len(combos)}
+    for k, var in enumerate(metavars):
+        columns[var] = [values[combo[k]] for combo in combos]
+    left = _run(lhs, columns, algebra)
+    right = _run(rhs, columns, algebra)
 
-    checked = 0
-    failure = {}
-    for combo in assignments:
-        env = {var: values[atom] for var, atom in zip(metavars, combo)}
-        left = left_of(env)
-        right = right_of(env)
-        checked += 1
-        if left != right:
-            failure = {
-                "counterexample": dict(zip(metavars, combo)),
-                "lhs_value": _decode(model, left),
-                "rhs_value": _decode(model, right),
-            }
-            break
     semantics = "boolean" if isinstance(model, TimeLine) else "ortho"
+    first = next((i for i, (a, b) in enumerate(zip(left, right)) if a != b), None)
+    if first is None:
+        return LawComparison(lhs_source, rhs_source, semantics, True, exhaustive, len(combos), total)
     return LawComparison(
-        lhs_source, rhs_source, semantics, not failure, exhaustive, checked, total, **failure
+        lhs_source,
+        rhs_source,
+        semantics,
+        False,
+        exhaustive,
+        first + 1,
+        total,
+        dict(zip(metavars, combos[first])),
+        _decode(model, left[first]),
+        _decode(model, right[first]),
     )

@@ -147,9 +147,14 @@ class OrthoLattice:
 
     @cached_property
     def complement(self) -> tuple[int, ...]:
-        """For each element, the index of its orthocomplement."""
+        """For each element, the index of its orthocomplement; ValueError names
+        the first element whose orthocomplement is not an element."""
         cs, pos = self.structure, self._position
-        return tuple([pos[ortho_mask(cs, m)] for m in self.masks])
+        indices = [pos.get(ortho_mask(cs, m)) for m in self.masks]
+        if None in indices:
+            missing = self._fmt(indices.index(None))
+            raise ValueError(f"the orthocomplement of {missing} is not an element of this lattice")
+        return tuple(indices)
 
     @cached_property
     def elements(self) -> tuple[frozenset[str], ...]:

@@ -6,13 +6,15 @@ sorts closed sets by a tuple of member ordinals, the reference for the int
 key of ``enumerate_closed``.  The law scans try
 every element pair or triple of an ``OrthoLattice``, the reference for
 ``OrthoLattice.check_laws``, which decides most verdicts without them.  The
-oracle filter, the two recursive evaluators, the substitution-based law
-comparison, the list-based trace generator and the token-by-token trace
-parser at the end are the literal references for
-``cli.closed_sets_by_definition``, ``eval_boolean``, ``eval_ortho``,
-``compare_laws``, ``gen_random`` and ``parse_trace``; the timing checks
+oracle filter, the recursive-descent formula parser (its tree's post-order
+walk is the postfix program), the two recursive evaluators, the
+substitution-based law comparison, the list-based trace generator and the
+token-by-token trace parser at the end are the literal references for
+``cli.closed_sets_by_definition``, ``parse_formula``, ``eval_boolean``,
+``eval_ortho``, ``compare_laws``, ``gen_random`` and ``parse_trace``; the timing checks
 after it compare the Fractions themselves, the reference for
-``timing_problems``, which compares integer ticks.
+``timing_problems``, which compares integer ticks.  The formula parser
+scans characters itself and shares no code with ``orthochron``'s parser.
 """
 
 import itertools
@@ -22,18 +24,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from orthochron.chronology import TimeLine
-from orthochron.logic_eval import (
-    EXHAUSTIVE_LIMIT,
-    And,
-    Atom,
-    Bottom,
-    Formula,
-    LawComparison,
-    Not,
-    Or,
-    Top,
-    parse_formula,
-)
+from orthochron.logic_eval import EXHAUSTIVE_LIMIT, FormulaSyntaxError, LawComparison
 from orthochron.ortholattice import OrthoLattice, format_members, ortho_mask
 from orthochron.trace_model import (
     Message,
@@ -225,92 +216,162 @@ def closed_sets_by_definition(cs):
     return family
 
 
-def eval_boolean(formula, timeline):
-    """Set of time point indices at which the formula holds, by recursion."""
+_FORMULA_WORDS = {"not": "~", "and": "&", "or": "|"}
+_FORMULA_CHARS = {"~": "~", "!": "~", "&": "&", "|": "|", "(": "(", ")": ")"}
+
+
+def _formula_tokens(text):
+    """(kind, text, 1-based position) per token, scanning character by
+    character: kind is "~", "&", "|", "(", ")" or "leaf" (a name, 0 or 1)."""
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        char = text[pos]
+        if char.isspace():
+            pos += 1
+            continue
+        if text[pos:pos + 2] in ("/\\", "\\/"):
+            tokens.append(("&" if char == "/" else "|", text[pos:pos + 2], pos + 1))
+            pos += 2
+        elif char in _FORMULA_CHARS:
+            tokens.append((_FORMULA_CHARS[char], char, pos + 1))
+            pos += 1
+        elif char in "01":
+            tokens.append(("leaf", char, pos + 1))
+            pos += 1
+        elif char.isascii() and (char.isalpha() or char == "_"):
+            end = pos + 1
+            while end < len(text) and text[end].isascii() and (text[end].isalnum() or text[end] == "_"):
+                end += 1
+            word = text[pos:end]
+            tokens.append((_FORMULA_WORDS.get(word, "leaf"), word, pos + 1))
+            pos = end
+        else:
+            raise FormulaSyntaxError(f"unexpected character {char!r}", pos + 1)
+    return tokens
+
+
+def parse_formula(text):
+    """Formula tree by recursive descent: a leaf is a name, "0" or "1"; a node
+    is ("~", child), ("&", left, right) or ("|", left, right)."""
+    tokens = _formula_tokens(text)
+    cursor = 0
+
+    def peek():
+        return tokens[cursor][0] if cursor < len(tokens) else None
+
+    def advance():
+        nonlocal cursor
+        cursor += 1
+        return tokens[cursor - 1][1]
+
+    def fail(message):
+        if cursor < len(tokens):
+            _, value, position = tokens[cursor]
+            raise FormulaSyntaxError(f"{message}, found {value!r}", position)
+        raise FormulaSyntaxError(f"{message} at end of input", len(text) + 1)
+
+    def binary(op, operand):
+        node = operand()
+        while peek() == op:
+            advance()
+            node = (op, node, operand())
+        return node
+
+    def disjunction():
+        return binary("|", conjunction)
+
+    def conjunction():
+        return binary("&", negation)
+
+    def negation():
+        if peek() == "~":
+            advance()
+            return ("~", negation())
+        if peek() == "leaf":
+            return advance()
+        if peek() == "(":
+            advance()
+            node = disjunction()
+            if peek() != ")":
+                fail("expected ')'")
+            advance()
+            return node
+        fail("expected an atom, '0', '1', '(' or a negation")
+
+    tree = disjunction()
+    if peek() is not None:
+        fail("unexpected trailing input")
+    return tree
+
+
+def postorder(tree):
+    """The tree's nodes in post-order, operators and leaves alike."""
+    if isinstance(tree, str):
+        return (tree,)
+    return sum((postorder(child) for child in tree[1:]), ()) + (tree[0],)
+
+
+def eval_boolean(tree, timeline):
+    """Set of time point indices at which the formula tree holds, by recursion."""
     universe = frozenset(range(len(timeline)))
 
     def go(node):
-        if isinstance(node, Atom):
-            try:
-                return timeline.interval(node.name)
-            except KeyError:
-                raise ValueError(f"unknown atom {node.name!r}") from None
-        if isinstance(node, Not):
-            return universe - go(node.child)
-        if isinstance(node, And):
-            return go(node.left) & go(node.right)
-        if isinstance(node, Or):
-            return go(node.left) | go(node.right)
-        if isinstance(node, Bottom):
+        if node == "0":
             return frozenset()
-        if isinstance(node, Top):
+        if node == "1":
             return universe
-        raise TypeError(f"not a formula node: {node!r}")
+        if isinstance(node, str):
+            try:
+                return timeline.interval(node)
+            except KeyError:
+                raise ValueError(f"unknown atom {node!r}") from None
+        if node[0] == "~":
+            return universe - go(node[1])
+        left, right = go(node[1]), go(node[2])
+        return left & right if node[0] == "&" else left | right
 
-    return go(formula)
+    return go(tree)
 
 
-def eval_ortho(formula, cs):
-    """Closed process set denoted by the formula, by recursion."""
+def eval_ortho(tree, cs):
+    """Closed process set denoted by the formula tree, by recursion."""
 
     def go(node):
-        if isinstance(node, Atom):
-            try:
-                bit = 1 << cs.ordinal(node.name)
-            except KeyError:
-                raise ValueError(f"unknown atom {node.name!r}") from None
-            return ortho_mask(cs, ortho_mask(cs, bit))
-        if isinstance(node, Not):
-            return ortho_mask(cs, go(node.child))
-        if isinstance(node, And):
-            return go(node.left) & go(node.right)
-        if isinstance(node, Or):
-            return ortho_mask(cs, ortho_mask(cs, go(node.left)) & ortho_mask(cs, go(node.right)))
-        if isinstance(node, Bottom):
+        if node == "0":
             return 0
-        if isinstance(node, Top):
+        if node == "1":
             return cs.full_mask
-        raise TypeError(f"not a formula node: {node!r}")
+        if isinstance(node, str):
+            try:
+                bit = 1 << cs.ordinal(node)
+            except KeyError:
+                raise ValueError(f"unknown atom {node!r}") from None
+            return ortho_mask(cs, ortho_mask(cs, bit))
+        if node[0] == "~":
+            return ortho_mask(cs, go(node[1]))
+        left, right = go(node[1]), go(node[2])
+        if node[0] == "&":
+            return left & right
+        return ortho_mask(cs, ortho_mask(cs, left) & ortho_mask(cs, right))
 
-    return cs.names_of(go(formula))
-
-
-def _metavariables(*formulas):
-    seen = {}
-
-    def walk(node):
-        if isinstance(node, Atom):
-            seen.setdefault(node.name)
-        elif isinstance(node, Not):
-            walk(node.child)
-        elif isinstance(node, (And, Or)):
-            walk(node.left)
-            walk(node.right)
-
-    for formula in formulas:
-        walk(formula)
-    return list(seen)
+    return cs.names_of(go(tree))
 
 
-def _substitute(node: Formula, mapping):
-    if isinstance(node, Atom):
-        return Atom(mapping[node.name])
-    if isinstance(node, Not):
-        return Not(_substitute(node.child, mapping))
-    if isinstance(node, And):
-        return And(_substitute(node.left, mapping), _substitute(node.right, mapping))
-    if isinstance(node, Or):
-        return Or(_substitute(node.left, mapping), _substitute(node.right, mapping))
-    return node
+def _substitute(node, mapping):
+    if isinstance(node, str):
+        return mapping.get(node, node)
+    return (node[0],) + tuple(_substitute(child, mapping) for child in node[1:])
 
 
 def compare_laws(model, identity, trials=1000, seed=0):
     """Substitute every assignment of atoms into both sides of the identity
-    and evaluate the substituted formulas with the recursive evaluators."""
+    and evaluate the substituted trees with the recursive evaluators."""
     lhs_source, rhs_source = identity
     lhs = parse_formula(lhs_source)
     rhs = parse_formula(rhs_source)
-    metavars = _metavariables(lhs, rhs)
+    leaves = [n for n in postorder(lhs) + postorder(rhs) if n not in ("0", "1", "~", "&", "|")]
+    metavars = list(dict.fromkeys(leaves))
     if isinstance(model, TimeLine):
         semantics, atoms, evaluate = "boolean", model.process_order, eval_boolean
     else:

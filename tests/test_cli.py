@@ -300,6 +300,20 @@ def test_eval_boolean_json(cli):
     assert code == 0
 
 
+DEEP_FORMULAS = [
+    " | ".join(["p1"] * 1_000),
+    "~" * 1_000 + "p1",
+    "(" * 10_000 + "p1" + ")" * 10_000,
+]
+
+
+@pytest.mark.parametrize("semantics", ["ortho", "boolean"])
+@pytest.mark.parametrize("formula", DEEP_FORMULAS, ids=["or-chain", "negations", "parentheses"])
+def test_eval_deep_formulas_equal_their_atom(cli, formula, semantics):
+    _, expected, _ = cli("eval", FIG7, "--formula", "p1", "--semantics", semantics)
+    assert cli("eval", FIG7, "--formula", formula, "--semantics", semantics) == (0, expected, "")
+
+
 def test_eval_unknown_atom(cli):
     code, _, err = cli("eval", MO2, "--formula", "zz")
     assert code == 2

@@ -6,17 +6,10 @@ import pytest
 
 from orthochron import (
     LAWS,
-    And,
-    Atom,
-    Bottom,
     FormulaSyntaxError,
-    Not,
-    Or,
-    Top,
     compare_laws,
     eval_boolean,
     eval_ortho,
-    format_formula,
     gen_random,
     happened_before,
     is_closed,
@@ -30,55 +23,101 @@ import oracles
 from conftest import random_trace
 
 DISTRIBUTIVITY = ("(a | b) & c", "(a & c) | (b & c)")
+NOT = ["~", "!", "not "]
+AND = ["&", "/\\", "and"]
+OR = ["|", "\\/", "or"]
+SPACE = [" ", "  ", "\t"]
+
+
+def _maybe_parenthesized(text):
+    """The text, in zero to two redundant pairs of parentheses."""
+    return st.integers(0, 2).map(lambda depth: "(" * depth + text + ")" * depth)
 
 
 def formulas(names):
-    leaves = st.one_of(
-        st.sampled_from([Atom(name) for name in names]),
-        st.just(Bottom()),
-        st.just(Top()),
-    )
-    return st.recursive(
-        leaves,
-        lambda children: st.one_of(
-            children.map(Not),
-            st.tuples(children, children).map(lambda pair: And(*pair)),
-            st.tuples(children, children).map(lambda pair: Or(*pair)),
-        ),
-        max_leaves=12,
-    )
+    """Formula text with random operator spellings, spacing and redundant
+    parentheses; every generated text parses."""
+    leaves = st.sampled_from([*names, "0", "1"])
+
+    def extend(children):
+        operand = children.flatmap(_maybe_parenthesized)
+        return st.one_of(
+            st.builds(lambda op, child: op + child, st.sampled_from(NOT), operand),
+            st.builds(
+                lambda left, space, op, right: f"{left}{space}{op} {right}",
+                operand,
+                st.sampled_from(SPACE),
+                st.sampled_from(AND + OR),
+                operand,
+            ),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=12).flatmap(_maybe_parenthesized)
+
+
+SOUP_TOKENS = st.sampled_from(
+    ["p1", "q1", "not", "and", "or", "notp1", "0", "1", "01"]
+    + NOT + AND + OR + ["(", ")", "@", "/", "\\"] + SPACE
+)
+
+
+def _edit(text, piece, at, cut):
+    """The text with ``cut`` characters from ``at`` replaced by ``piece``."""
+    at %= len(text) + 1
+    return text[:at] + piece + text[at + cut:]
+
+
+# token strings, and formula text with a few characters replaced by tokens
+TOKEN_SOUP = st.one_of(
+    st.lists(SOUP_TOKENS, max_size=14).map("".join),
+    st.builds(
+        _edit,
+        formulas(["p1", "q1"]),
+        st.lists(SOUP_TOKENS, max_size=3).map("".join),
+        st.integers(0, 200),
+        st.integers(0, 4),
+    ),
+)
+
+
+def _parsed(parse, text):
+    try:
+        return parse(text)
+    except FormulaSyntaxError as exc:
+        return str(exc), exc.position
 
 
 def test_parse_atom():
-    assert parse_formula("p1") == Atom("p1")
+    assert parse_formula("p1") == ("p1",)
 
 
 def test_parse_precedence():
-    assert parse_formula("p1 & q1 | r1") == Or(And(Atom("p1"), Atom("q1")), Atom("r1"))
-    assert parse_formula("~p1 & q1") == And(Not(Atom("p1")), Atom("q1"))
-    assert parse_formula("p1 & (q1 | r1)") == And(Atom("p1"), Or(Atom("q1"), Atom("r1")))
+    assert parse_formula("p1 & q1 | r1") == ("p1", "q1", "&", "r1", "|")
+    assert parse_formula("~p1 & q1") == ("p1", "~", "q1", "&")
+    assert parse_formula("p1 & (q1 | r1)") == ("p1", "q1", "r1", "|", "&")
 
 
 def test_parse_left_associativity():
-    assert parse_formula("p1 | q1 | r1") == Or(Or(Atom("p1"), Atom("q1")), Atom("r1"))
-    assert parse_formula("p1 & q1 & r1") == And(And(Atom("p1"), Atom("q1")), Atom("r1"))
+    assert parse_formula("p1 | q1 | r1") == ("p1", "q1", "|", "r1", "|")
+    assert parse_formula("p1 & q1 & r1") == ("p1", "q1", "&", "r1", "&")
 
 
 def test_parse_synonyms():
     canonical = parse_formula("~(p1 & q1) | r1")
+    assert canonical == ("p1", "q1", "&", "~", "r1", "|")
     assert parse_formula("not (p1 and q1) or r1") == canonical
     assert parse_formula(r"!(p1 /\ q1) \/ r1") == canonical
 
 
 def test_parse_constants():
-    assert parse_formula("0") == Bottom()
-    assert parse_formula("1") == Top()
-    assert parse_formula("~0 & 1") == And(Not(Bottom()), Top())
+    assert parse_formula("0") == ("0",)
+    assert parse_formula("1") == ("1",)
+    assert parse_formula("~0 & 1") == ("0", "~", "1", "&")
 
 
 def test_parse_double_negation():
-    assert parse_formula("~~p1") == Not(Not(Atom("p1")))
-    assert parse_formula("not not p1") == Not(Not(Atom("p1")))
+    assert parse_formula("~~p1") == ("p1", "~", "~")
+    assert parse_formula("not not p1") == ("p1", "~", "~")
 
 
 @pytest.mark.parametrize(
@@ -99,18 +138,21 @@ def test_parse_errors_carry_positions(text, position):
     assert excinfo.value.position == position
 
 
-def test_format_minimal_parentheses():
-    assert format_formula(Or(And(Atom("a"), Atom("b")), Atom("c"))) == "a & b | c"
-    assert format_formula(And(Or(Atom("a"), Atom("b")), Atom("c"))) == "(a | b) & c"
-    assert format_formula(Not(And(Atom("a"), Atom("b")))) == "~(a & b)"
-    assert format_formula(Not(Atom("a"))) == "~a"
-    assert format_formula(And(Atom("a"), And(Atom("b"), Atom("c")))) == "a & (b & c)"
-    assert format_formula(Or(Bottom(), Top())) == "0 | 1"
+def test_parse_deep_nesting():
+    assert parse_formula("(" * 10_000 + "p1" + ")" * 10_000) == ("p1",)
+    assert parse_formula("~" * 1_000 + "p1") == ("p1",) + ("~",) * 1_000
+    assert parse_formula(" | ".join(["p1"] * 1_000)) == ("p1",) + ("p1", "|") * 999
 
 
-@hypothesis.given(formulas(["a", "b", "c"]))
-def test_format_parse_round_trip(formula):
-    assert parse_formula(format_formula(formula)) == formula
+@hypothesis.given(formulas(["p1", "q1", "r1"]))
+def test_parse_program_is_postorder_of_reference_tree(text):
+    assert parse_formula(text) == oracles.postorder(oracles.parse_formula(text))
+
+
+@hypothesis.given(TOKEN_SOUP)
+def test_parse_matches_reference_on_token_soup(text):
+    expected = _parsed(lambda t: oracles.postorder(oracles.parse_formula(t)), text)
+    assert _parsed(parse_formula, text) == expected
 
 
 def test_eval_boolean_fig2(fig2):
@@ -164,15 +206,15 @@ def test_eval_ortho_unknown_atom(mo2):
 @hypothesis.given(formulas(["p1", "p2", "q1", "q2"]))
 def test_eval_ortho_results_are_closed(mo2, formula):
     cs = happened_before(mo2)
-    assert is_closed(cs, eval_ortho(formula, cs))
+    assert is_closed(cs, eval_ortho(parse_formula(formula), cs))
 
 
 @hypothesis.given(formulas(["p1", "q1", "q2"]), formulas(["p1", "q1", "q2"]))
 def test_eval_ortho_is_monotone_across_connectives(fig7, left, right):
     cs = happened_before(fig7)
-    conjunction = eval_ortho(And(left, right), cs)
-    disjunction = eval_ortho(Or(left, right), cs)
-    value = eval_ortho(left, cs)
+    conjunction = eval_ortho(parse_formula(f"({left}) & ({right})"), cs)
+    disjunction = eval_ortho(parse_formula(f"({left}) | ({right})"), cs)
+    value = eval_ortho(parse_formula(left), cs)
     assert conjunction <= value <= disjunction
 
 
@@ -183,19 +225,19 @@ def test_single_site_degenerates_to_boolean_sets(formula):
     everyone = frozenset(trace.names)
 
     def naive(node):
-        if isinstance(node, Atom):
-            return frozenset({node.name})
-        if isinstance(node, Not):
-            return everyone - naive(node.child)
-        if isinstance(node, And):
-            return naive(node.left) & naive(node.right)
-        if isinstance(node, Or):
-            return naive(node.left) | naive(node.right)
-        if isinstance(node, Bottom):
+        if node == "0":
             return frozenset()
-        return everyone
+        if node == "1":
+            return everyone
+        if isinstance(node, str):
+            return frozenset({node})
+        if node[0] == "~":
+            return everyone - naive(node[1])
+        if node[0] == "&":
+            return naive(node[1]) & naive(node[2])
+        return naive(node[1]) | naive(node[2])
 
-    assert eval_ortho(formula, cs) == naive(formula)
+    assert eval_ortho(parse_formula(formula), cs) == naive(oracles.parse_formula(formula))
 
 
 def test_compare_laws_boolean_distributivity(fig2):
@@ -261,16 +303,17 @@ def _outcome(evaluate, formula, model):
 
 
 @hypothesis.given(formulas(["p1", "q1", "r1", "zz", "yy"]))
-def test_eval_boolean_matches_recursive_reference(fig2, formula):
+def test_eval_boolean_matches_recursive_reference(fig2, text):
     timeline = time_points(fig2)
-    expected = _outcome(oracles.eval_boolean, formula, timeline)
-    assert _outcome(eval_boolean, formula, timeline) == expected
+    expected = _outcome(oracles.eval_boolean, oracles.parse_formula(text), timeline)
+    assert _outcome(eval_boolean, parse_formula(text), timeline) == expected
 
 
 @hypothesis.given(formulas(["p1", "q1", "q2", "zz", "yy"]))
-def test_eval_ortho_matches_recursive_reference(fig7, formula):
+def test_eval_ortho_matches_recursive_reference(fig7, text):
     cs = happened_before(fig7)
-    assert _outcome(eval_ortho, formula, cs) == _outcome(oracles.eval_ortho, formula, cs)
+    expected = _outcome(oracles.eval_ortho, oracles.parse_formula(text), cs)
+    assert _outcome(eval_ortho, parse_formula(text), cs) == expected
 
 
 def _law_models(traces):
@@ -281,6 +324,7 @@ def _law_models(traces):
 
 
 TEMPLATES = [identity for law in LAWS for identity in LAWS[law][0]]
+CONSTANT_IDENTITIES = [("0", "~1"), ("a & 0", "0"), ("a | 1", "1")]
 
 
 def test_compare_laws_matches_substitution_reference_exhaustively(fig2, fig5, fig7, mo2):
@@ -289,7 +333,7 @@ def test_compare_laws_matches_substitution_reference_exhaustively(fig2, fig5, fi
     ]
     failures = 0
     for model in _law_models(traces):
-        for identity in TEMPLATES:
+        for identity in TEMPLATES + CONSTANT_IDENTITIES:
             result = compare_laws(model, identity)
             assert result.exhaustive
             assert result == oracles.compare_laws(model, identity), identity

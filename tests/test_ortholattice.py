@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import re
 import time
 
 import hypothesis
@@ -365,6 +366,16 @@ def test_check_laws_reject_uncertified_lattices(mo2_lattice, fig7_lattice):
                 lattice.check_laws(law)
         law = "orthomodularity"
         assert lattice.check_laws(law) == _reference_check(lattice, law)
+    # mo2's bottom, {p1} and top: the orthocomplement of {p1} is missing
+    mo2 = mo2_lattice.structure
+    partial = OrthoLattice(mo2, (0, mo2.mask_of({"p1"}), mo2.full_mask))
+    assert not partial._certified
+    for law in LAWS:
+        message = "the orthocomplement of {p1} is not an element of this lattice"
+        if law != "orthomodularity":
+            message = f"{law} is decided only on the closed-set"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            partial.check_laws(law)
 
 
 def test_law_decisions_scale():
