@@ -5,13 +5,12 @@ cross-site messages and optional exact-rational timing.  Timed traces get a
 Boolean timeline of maximal simultaneity cliques; untimed (or any) traces
 get a causal structure whose bi-orthogonally closed process sets form an
 ortholattice, evaluated as a minimal quantum logic.
+
+``__all__`` is the public API, and README.md documents every name in it.
 """
 
 from .trace_model import (
-    Message,
     MessageBudgetError,
-    ProcessId,
-    Site,
     Trace,
     TraceParseError,
     UntimedTraceError,
@@ -20,16 +19,9 @@ from .trace_model import (
     serialize_trace,
     validate,
 )
-from .chronology import (
-    TimeLine,
-    earlier,
-    simultaneity,
-    simultaneous,
-    time_points,
-)
+from .chronology import TimeLine, time_points
 from .causal_core import CausalStructure, CycleError, happened_before
 from .ortholattice import (
-    DEFAULT_CAP,
     CapExceededError,
     LawCheck,
     LAWS,
@@ -51,38 +43,35 @@ from .logic_eval import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CapExceededError",
-    "CausalStructure",
-    "CycleError",
-    "DEFAULT_CAP",
-    "FormulaSyntaxError",
-    "LawCheck",
-    "LawComparison",
-    "LAWS",
-    "Message",
-    "MessageBudgetError",
-    "OrthoLattice",
-    "ProcessId",
-    "Site",
-    "TimeLine",
-    "Trace",
-    "TraceParseError",
-    "UntimedTraceError",
-    "close",
-    "compare_laws",
-    "earlier",
+    # functions
+    "parse_trace",
+    "validate",
+    "gen_random",
+    "serialize_trace",
+    "time_points",
+    "happened_before",
     "enumerate_closed",
+    "close",
+    "ortho",
+    "is_closed",
+    "parse_formula",
     "eval_boolean",
     "eval_ortho",
-    "gen_random",
-    "happened_before",
-    "is_closed",
-    "ortho",
-    "parse_formula",
-    "parse_trace",
-    "serialize_trace",
-    "simultaneity",
-    "simultaneous",
-    "time_points",
-    "validate",
+    "compare_laws",
+    # the law table
+    "LAWS",
+    # types
+    "Trace",
+    "TimeLine",
+    "CausalStructure",
+    "OrthoLattice",
+    "LawCheck",
+    "LawComparison",
+    # exceptions
+    "CapExceededError",
+    "CycleError",
+    "FormulaSyntaxError",
+    "MessageBudgetError",
+    "TraceParseError",
+    "UntimedTraceError",
 ]

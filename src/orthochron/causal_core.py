@@ -65,9 +65,6 @@ class CausalStructure:
     def sorted_names_of(self, mask: int) -> list[str]:
         return list(compress(self.names, _selectors(mask)))
 
-    def happened_before(self, p: str, q: str) -> bool:
-        return bool(self.before_masks[self.ordinal(p)] >> self.ordinal(q) & 1)
-
     def causally_related(self, p: str, q: str) -> bool:
         """Happened-before in either direction; irreflexive and symmetric."""
         return bool(self.causality_masks[self.ordinal(p)] >> self.ordinal(q) & 1)

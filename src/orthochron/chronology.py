@@ -1,5 +1,5 @@
-"""Timed-mode analysis: the simultaneity relation, maximal-clique time
-points, their linear order, and per-process intervals.
+"""Timed-mode analysis: the time points, maximal cliques of the
+simultaneity relation, in their linear order, and per-process intervals.
 
 Two processes are simultaneous when their open time intervals overlap;
 touching intervals (end of one equals start of the next) are not
@@ -17,33 +17,6 @@ from functools import cached_property
 from .trace_model import Trace, UntimedTraceError
 
 
-def _timing(trace: Trace):
-    if trace.timing is None:
-        raise UntimedTraceError("operation requires a timed trace")
-    return trace.timing
-
-
-def earlier(trace: Trace, p: str, q: str) -> bool:
-    """True when p ends no later than q begins; touching counts as earlier."""
-    timing = _timing(trace)
-    return timing[p][1] <= timing[q][0]
-
-
-def simultaneous(trace: Trace, p: str, q: str) -> bool:
-    """True when the open intervals of p and q overlap (reflexive)."""
-    timing = _timing(trace)
-    return timing[p][0] < timing[q][1] and timing[q][0] < timing[p][1]
-
-
-def simultaneity(trace: Trace) -> dict[str, frozenset[str]]:
-    """Adjacency of the reflexive, symmetric overlap relation, keyed by name."""
-    _timing(trace)
-    names = trace.names
-    return {
-        a: frozenset(b for b in names if simultaneous(trace, a, b)) for a in names
-    }
-
-
 @dataclass(frozen=True)
 class TimeLine:
     """Time points (member sets) in their linear order plus the canonical
@@ -54,12 +27,6 @@ class TimeLine:
 
     def __len__(self) -> int:
         return len(self.points)
-
-    def __iter__(self):
-        return iter(self.points)
-
-    def __getitem__(self, index: int) -> frozenset[str]:
-        return self.points[index]
 
     @cached_property
     def _rank(self) -> dict[str, int]:
@@ -88,7 +55,8 @@ def time_points(trace: Trace) -> TimeLine:
     overlap window.  Raises ValueError naming the first process that has no
     time entry or whose interval does not end after it starts.
     """
-    _timing(trace)
+    if trace.timing is None:
+        raise UntimedTraceError("operation requires a timed trace")
     ticks = trace.ticks
     names = trace.names
     events = []

@@ -34,15 +34,6 @@ from .causal_core import CausalStructure
 from .chronology import TimeLine
 from .ortholattice import ortho_mask
 
-__all__ = [
-    "FormulaSyntaxError",
-    "parse_formula",
-    "eval_boolean",
-    "eval_ortho",
-    "compare_laws",
-    "LawComparison",
-]
-
 
 class FormulaSyntaxError(ValueError):
     def __init__(self, message: str, position: int):
@@ -226,8 +217,11 @@ def compare_laws(
     EXHAUSTIVE_LIMIT, otherwise samples ``trials`` assignments from
     ``random.Random(seed)``; the report says which happened.  Each side runs
     once over all instantiations, one column per metavariable, and the first
-    instantiation where the sides differ is the counterexample.
+    instantiation where the sides differ is the counterexample.  Raises
+    ValueError when ``trials`` is below 1.
     """
+    if trials < 1:
+        raise ValueError("trials must be positive")
     lhs_source, rhs_source = identity
     lhs, rhs = parse_formula(lhs_source), parse_formula(rhs_source)
     metavars = list(dict.fromkeys(token for token in lhs + rhs if token not in _SYMBOLS))

@@ -28,21 +28,6 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable
-
-__all__ = [
-    "ProcessId",
-    "Message",
-    "Site",
-    "Trace",
-    "TraceParseError",
-    "UntimedTraceError",
-    "MessageBudgetError",
-    "parse_trace",
-    "serialize_trace",
-    "validate",
-    "gen_random",
-]
 
 _NAME = r"[A-Za-z_][A-Za-z0-9_]*"
 _NUMBER = r"[+-]?\d+(?:\.\d+)?"
@@ -140,24 +125,6 @@ class Trace:
     @cached_property
     def _by_name(self) -> dict[str, ProcessId]:
         return {p.name: p for p in self.processes}
-
-    @property
-    def is_timed(self) -> bool:
-        return self.timing is not None
-
-    def process(self, name: str) -> ProcessId:
-        return self._by_name[name]
-
-    def span(self, name: str) -> tuple[Fraction, Fraction]:
-        if self.timing is None:
-            raise UntimedTraceError("trace has no timestamps")
-        return self.timing[name]
-
-    def start(self, name: str) -> Fraction:
-        return self.span(name)[0]
-
-    def end(self, name: str) -> Fraction:
-        return self.span(name)[1]
 
     @cached_property
     def ticks(self) -> dict[str, tuple[int, int]]:

@@ -62,6 +62,11 @@ def brute_overlap(trace, p, q):
     return start_p < end_q and start_q < end_p
 
 
+def earlier(trace, p, q):
+    """p ends no later than q begins; touching counts as earlier."""
+    return trace.timing[p][1] <= trace.timing[q][0]
+
+
 def brute_time_points(trace):
     """Maximal pairwise-overlapping subsets, by powerset filtering."""
     names = [p.name for p in trace.processes]

@@ -24,7 +24,7 @@ def _pairs(cs):
         (a, b)
         for a in cs.names
         for b in cs.names
-        if cs.happened_before(a, b)
+        if cs.before_masks[cs.ordinal(a)] >> cs.ordinal(b) & 1
     }
 
 

@@ -4,18 +4,11 @@ import hypothesis
 import hypothesis.strategies as st
 import pytest
 
-from orthochron import (
-    UntimedTraceError,
-    parse_trace,
-    simultaneity,
-    simultaneous,
-    time_points,
-)
-from orthochron.chronology import earlier
+from orthochron import UntimedTraceError, parse_trace, time_points
 from orthochron.trace_model import Trace
 
 from conftest import random_trace, rational_traces
-from oracles import brute_time_points
+from oracles import brute_time_points, earlier
 
 FIG2_POINTS = [
     ["p1", "q1", "r1"],
@@ -51,8 +44,6 @@ def test_touching_intervals_are_not_simultaneous():
     trace = parse_trace(
         "site x : a\nsite y : b\ntime a = 0 .. 1\ntime b = 1 .. 2\n"
     )
-    assert earlier(trace, "a", "b")
-    assert not simultaneous(trace, "a", "b")
     assert time_points(trace).member_lists() == [["a"], ["b"]]
 
 
@@ -60,25 +51,15 @@ def test_overlapping_intervals_are_simultaneous():
     trace = parse_trace(
         "site x : a\nsite y : b\ntime a = 0 .. 2\ntime b = 1 .. 3\n"
     )
-    assert simultaneous(trace, "a", "b")
-    assert not earlier(trace, "a", "b")
-    assert not earlier(trace, "b", "a")
     assert time_points(trace).member_lists() == [["a", "b"]]
-
-
-def test_simultaneity_is_reflexive_and_symmetric(fig2):
-    relation = simultaneity(fig2)
-    for a in fig2.names:
-        assert a in relation[a]
-        for b in relation[a]:
-            assert a in relation[b]
 
 
 def test_simultaneity_is_not_transitive(fig2):
     # q1 overlaps r1 and r1 overlaps q2, but q1 only touches q2
-    assert simultaneous(fig2, "q1", "r1")
-    assert simultaneous(fig2, "r1", "q2")
-    assert not simultaneous(fig2, "q1", "q2")
+    timeline = time_points(fig2)
+    assert timeline.interval("q1") & timeline.interval("r1")
+    assert timeline.interval("r1") & timeline.interval("q2")
+    assert not timeline.interval("q1") & timeline.interval("q2")
 
 
 def test_ragged_site_spans():
@@ -91,8 +72,6 @@ def test_ragged_site_spans():
 def test_untimed_trace_is_rejected(fig5):
     with pytest.raises(UntimedTraceError):
         time_points(fig5)
-    with pytest.raises(UntimedTraceError):
-        simultaneous(fig5, "x1", "y1")
 
 
 @pytest.mark.parametrize("span", [(1, 1), (2, 1)])
@@ -118,7 +97,7 @@ def test_unknown_process_interval(fig2):
 def _check_linear_order(trace, timeline):
     # emitted order is the derived order: some member of the earlier point
     # precedes some member of the later one, and never the other way round
-    points = [set(point) for point in timeline]
+    points = [set(point) for point in timeline.points]
     for i in range(len(points)):
         for j in range(i + 1, len(points)):
             forward = any(
@@ -138,15 +117,15 @@ def _check_linear_order(trace, timeline):
 def test_sweep_matches_brute_force_cliques(seed):
     trace = random_trace(seed, seed % 3 + 1, seed % 3 + 1, seed % 4)
     timeline = time_points(trace)
-    assert set(timeline) == brute_time_points(trace)
-    assert len(set(timeline)) == len(timeline)
+    assert set(timeline.points) == brute_time_points(trace)
+    assert len(set(timeline.points)) == len(timeline)
 
 
 @hypothesis.given(rational_traces(tiled=True))
 def test_sweep_on_non_decimal_and_negative_times(trace):
     timeline = time_points(trace)
-    assert set(timeline) == brute_time_points(trace)
-    assert len(set(timeline)) == len(timeline)
+    assert set(timeline.points) == brute_time_points(trace)
+    assert len(set(timeline.points)) == len(timeline)
     _check_linear_order(trace, timeline)
 
 
@@ -154,10 +133,10 @@ def test_sweep_on_non_decimal_and_negative_times(trace):
 def test_time_point_shape_invariants(seed):
     trace = random_trace(seed, seed % 4 + 1, seed % 3 + 1, seed % 4)
     timeline = time_points(trace)
+    site_of = {p.name: p.site_index for p in trace.processes}
     covered = set()
-    for index in range(len(timeline)):
-        members = timeline[index]
-        sites = [trace.process(name).site_index for name in members]
+    for members in timeline.points:
+        sites = [site_of[name] for name in members]
         assert len(sites) == len(set(sites))
         covered |= members
     assert covered == set(trace.names)

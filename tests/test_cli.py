@@ -9,9 +9,16 @@ import tracemalloc
 
 import pytest
 
-from orthochron import CausalStructure, ProcessId, happened_before, parse_trace
+from orthochron import (
+    CausalStructure,
+    OrthoLattice,
+    enumerate_closed,
+    happened_before,
+    parse_trace,
+)
 from orthochron import cli as cli_module
 from orthochron.cli import _COMMANDS, build_parser, closed_sets_by_definition, main
+from orthochron.trace_model import ProcessId
 
 import oracles
 from conftest import fixture_path, random_trace
@@ -198,9 +205,14 @@ def test_hb_text_pinned(cli, path, expected):
 def test_hb_text_right_aligns_cells_to_the_widest_name(cli, tmp_path):
     path = tmp_path / "widths.trace"
     path.write_text("site x : a bb\nsite y : ccc d\nmsg a -> d\n")
-    cs = happened_before(parse_trace(path.read_text()))
+    trace = parse_trace(path.read_text())
+    cs = happened_before(trace)
+    before = oracles.brute_happened_before(trace)
     expected = []
-    for title, related in (("happened-before", cs.happened_before), ("causality", cs.causally_related)):
+    for title, related in (
+        ("happened-before", lambda a, b: (a, b) in before),
+        ("causality", cs.causally_related),
+    ):
         expected += [title, "     " + " ".join(n.rjust(3) for n in cs.names)]
         for a in cs.names:
             cells = " ".join(("1" if related(a, b) else "0").rjust(3) for b in cs.names)
@@ -447,6 +459,30 @@ def test_oracle_match(cli):
     assert (code, out) == (0, "match: fast enumeration = brute force (52 elements)\n")
 
 
+def test_oracle_mismatch_lists_sets_in_canonical_order(cli, monkeypatch):
+    """An enumeration that drops three closed sets and adds three sets that
+    are not closed, in reverse order: both listings come out canonical."""
+
+    def faulty(cs):
+        dropped = {cs.mask_of(s) for s in (["q4"], ["p2"], ["p1", "p3"])}
+        added = [cs.mask_of(s) for s in (["p3", "q1"], ["p1", "q4"], ["p1", "q1"])]
+        kept = [m for m in reversed(enumerate_closed(cs).masks) if m not in dropped]
+        return OrthoLattice(cs, tuple(kept + added))
+
+    monkeypatch.setattr(cli_module, "enumerate_closed", faulty)
+    code, out, err = cli("oracle", FIG7)
+    assert (code, err) == (1, "")
+    assert out == (
+        "mismatch between fast enumeration and brute force\n"
+        "  only-fast: {p1, q1}\n"
+        "  only-fast: {p1, q4}\n"
+        "  only-fast: {p3, q1}\n"
+        "  only-brute: {p2}\n"
+        "  only-brute: {q4}\n"
+        "  only-brute: {p1, p3}\n"
+    )
+
+
 def test_oracle_process_limit(cli, tmp_path):
     code, out, _ = cli("gen", "--seed", "1", "--sites", "3", "--procs", "7", "--messages", "0")
     assert code == 0
@@ -463,7 +499,7 @@ def test_gen_round_trips(cli):
     trace = parse_trace(out)
     assert len(trace.sites) == 2
     assert len(trace.messages) == 2
-    assert trace.is_timed
+    assert trace.timing is not None
 
 
 def test_gen_is_deterministic(cli):

@@ -1,4 +1,6 @@
 import itertools
+import random
+import re
 
 import hypothesis
 import hypothesis.strategies as st
@@ -12,7 +14,6 @@ from orthochron import (
     eval_ortho,
     gen_random,
     happened_before,
-    is_closed,
     parse_formula,
     parse_trace,
     time_points,
@@ -203,10 +204,20 @@ def test_eval_ortho_unknown_atom(mo2):
         eval_ortho(parse_formula("zz"), happened_before(mo2))
 
 
-@hypothesis.given(formulas(["p1", "p2", "q1", "q2"]))
-def test_eval_ortho_results_are_closed(mo2, formula):
-    cs = happened_before(mo2)
-    assert is_closed(cs, eval_ortho(parse_formula(formula), cs))
+@hypothesis.given(formulas(["x1", "x2", "x3", "x4"]), st.integers(1, 10**9))
+def test_eval_ortho_results_are_closed(mo2, formula, seed):
+    """On mo2 and on a generated trace, under every rotation of a seeded
+    binding of x1..x4 to processes, the value equals its double
+    orthocomplement by the oracles' definition."""
+    generated = random_trace(seed, seed % 3 + 1, seed % 3 + 2, seed % 5)
+    for trace in (mo2, generated):
+        cs = happened_before(trace)
+        rng = random.Random(seed)
+        offsets = [rng.randrange(cs.size) for _ in range(4)]
+        for shift in range(cs.size):
+            atoms = {f"x{k + 1}": cs.names[(shift + offset) % cs.size] for k, offset in enumerate(offsets)}
+            value = eval_ortho(parse_formula(re.sub(r"x[1-4]", lambda m: atoms[m.group()], formula)), cs)
+            assert value == oracles.brute_ortho(cs, oracles.brute_ortho(cs, value))
 
 
 @hypothesis.given(formulas(["p1", "q1", "q2"]), formulas(["p1", "q1", "q2"]))
@@ -293,6 +304,13 @@ def test_compare_laws_samples_large_spaces():
     assert result.checked == 50
     again = compare_laws(cs, identity, trials=50, seed=3)
     assert result == again
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_compare_laws_rejects_fewer_than_one_trial(fig2, trials):
+    # 12^4 instantiations are sampled; zero trials once reported "holds"
+    with pytest.raises(ValueError, match="^trials must be positive$"):
+        compare_laws(time_points(fig2), ("a & b & c & d", "a"), trials=trials)
 
 
 def _outcome(evaluate, formula, model):

@@ -8,10 +8,7 @@ import hypothesis.strategies as st
 import pytest
 
 from orthochron import (
-    Message,
     MessageBudgetError,
-    ProcessId,
-    Site,
     Trace,
     TraceParseError,
     UntimedTraceError,
@@ -20,7 +17,7 @@ from orthochron import (
     serialize_trace,
     validate,
 )
-from orthochron.trace_model import timing_problems
+from orthochron.trace_model import Message, ProcessId, Site, timing_problems
 
 import oracles
 from conftest import fixture_text, random_trace, rational_traces
@@ -31,23 +28,23 @@ def test_parse_fig2_structure(fig2):
     assert fig2.names == (
         "p1", "p2", "p3", "p4", "q1", "q2", "q3", "q4", "q5", "r1", "r2", "r3",
     )
-    assert fig2.is_timed
-    assert fig2.span("p2") == (Fraction(2), Fraction(5))
-    assert fig2.start("q3") == 4
-    assert fig2.end("r3") == 10
+    assert fig2.timing["p2"] == (Fraction(2), Fraction(5))
+    assert fig2.timing["q3"][0] == 4
+    assert fig2.timing["r3"][1] == 10
 
 
 def test_parse_assigns_site_and_position_indices(fig7):
-    q3 = fig7.process("q3")
+    q3 = fig7.sites[1].processes[2]
+    assert q3.name == "q3"
     assert (q3.site_index, q3.position) == (1, 2)
     assert fig7.messages[0].sender.name == "p1"
     assert fig7.messages[0].receiver.name == "q3"
 
 
 def test_parse_untimed_trace(fig5):
-    assert not fig5.is_timed
+    assert fig5.timing is None
     with pytest.raises(UntimedTraceError):
-        fig5.span("x1")
+        fig5.ticks
 
 
 def test_comments_and_blank_lines_ignored():
@@ -57,7 +54,7 @@ def test_comments_and_blank_lines_ignored():
 
 def test_decimal_timestamps_are_exact_rationals():
     trace = parse_trace("site x : a\ntime a = 0.5 .. 1.25\n")
-    assert trace.span("a") == (Fraction(1, 2), Fraction(5, 4))
+    assert trace.timing["a"] == (Fraction(1, 2), Fraction(5, 4))
     assert "time a = 0.5 .. 1.25" in serialize_trace(trace)
 
 
@@ -260,8 +257,7 @@ def test_gen_random_single_site():
     assert len(trace.sites) == 1
     assert trace.names == ("s1p1", "s1p2", "s1p3")
     assert trace.messages == ()
-    assert trace.is_timed
-    assert trace.end("s1p1") == trace.start("s1p2")
+    assert trace.timing["s1p1"][1] == trace.timing["s1p2"][0]
 
 
 def test_gen_random_is_deterministic():
@@ -309,15 +305,15 @@ def test_generated_sites_partition_their_span(seed):
     trace = random_trace(seed, seed % 4 + 1, seed % 4 + 1, 0)
     for site in trace.sites:
         for a, b in zip(site.processes, site.processes[1:]):
-            assert trace.end(a.name) == trace.start(b.name)
+            assert trace.timing[a.name][1] == trace.timing[b.name][0]
         for p in site.processes:
-            assert trace.start(p.name) < trace.end(p.name)
+            assert trace.timing[p.name][0] < trace.timing[p.name][1]
 
 
 def test_untimed_variant_of_generated_trace_is_valid():
     trace = gen_random(9, 2, 3, 2)
     untimed = dataclasses.replace(trace, timing=None)
-    assert not untimed.is_timed
+    assert untimed.timing is None
     assert validate(untimed) == []
 
 
