@@ -3,7 +3,7 @@
 relation it induces.
 
 Process sets are handled as integer bitmasks indexed by process ordinal,
-i.e. the position in (site index, position) order.
+a name's index in ``Trace.processes``.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from functools import cached_property
 from itertools import compress
 from typing import Iterable
 
-from .trace_model import ProcessId, Trace
+from .trace_model import Trace
 
 
 class CycleError(ValueError):
@@ -25,30 +25,33 @@ class CycleError(ValueError):
         self.edges = edges
 
 
+class _Ordinals(dict):
+    """Process name -> ordinal; an unknown name raises ValueError."""
+
+    def __missing__(self, name: str) -> int:
+        raise ValueError(f"unknown process {name!r}")
+
+
 @dataclass(frozen=True)
 class CausalStructure:
     """Bitmask rows of happened-before and of the symmetric causality
-    relation, plus name/ordinal bookkeeping."""
+    relation over the process names, in ordinal order."""
 
-    processes: tuple[ProcessId, ...]
+    names: tuple[str, ...]
     before_masks: tuple[int, ...]
     causality_masks: tuple[int, ...]
 
     @cached_property
-    def names(self) -> tuple[str, ...]:
-        return tuple([p.name for p in self.processes])
-
-    @cached_property
-    def _ordinals(self) -> dict[str, int]:
-        return {p.name: i for i, p in enumerate(self.processes)}
+    def _ordinals(self) -> _Ordinals:
+        return _Ordinals(zip(self.names, range(len(self.names))))
 
     @property
     def size(self) -> int:
-        return len(self.processes)
+        return len(self.names)
 
     @property
     def full_mask(self) -> int:
-        return (1 << len(self.processes)) - 1
+        return (1 << len(self.names)) - 1
 
     def ordinal(self, name: str) -> int:
         return self._ordinals[name]
@@ -110,7 +113,7 @@ def _topological_order(n: int, direct: list[list[int]]) -> list[int]:
 
 
 def _find_cycle(
-    processes: tuple[ProcessId, ...], direct: list[list[int]], leftover: set[int]
+    names: tuple[str, ...], direct: list[list[int]], leftover: set[int]
 ) -> list[tuple[str, str]]:
     # every leftover node keeps an unprocessed predecessor, so walking
     # predecessors inside the leftover set must revisit a node
@@ -128,10 +131,7 @@ def _find_cycle(
             tail = path[position[node] :]
             nodes = [tail[0]] + tail[1:][::-1]
             closed = nodes + [nodes[0]]
-            return [
-                (processes[a].name, processes[b].name)
-                for a, b in zip(closed, closed[1:])
-            ]
+            return [(names[a], names[b]) for a, b in zip(closed, closed[1:])]
         position[node] = len(path)
         path.append(node)
 
@@ -139,25 +139,25 @@ def _find_cycle(
 def happened_before(trace: Trace) -> CausalStructure:
     """Build the happened-before order of a trace, or raise CycleError with
     one cycle's edge list if the relation is not acyclic."""
-    procs = trace.processes
-    n = len(procs)
-    index = {p.name: i for i, p in enumerate(procs)}
+    names = trace.processes
+    n = len(names)
+    index = {name: i for i, name in enumerate(names)}
     if len(index) != n:
         raise ValueError("duplicate process names")
     direct: list[list[int]] = [[] for _ in range(n)]
     for site in trace.sites:
         for a, b in zip(site.processes, site.processes[1:]):
-            direct[index[a.name]].append(index[b.name])
+            direct[index[a]].append(index[b])
     try:
         for message in trace.messages:
-            direct[index[message.sender.name]].append(index[message.receiver.name])
+            direct[index[message.sender]].append(index[message.receiver])
     except KeyError as missing:
         raise ValueError(f"message endpoint {missing.args[0]} is not a process of this trace") from None
 
     order = _topological_order(n, direct)
     if len(order) < n:
         leftover = set(range(n)) - set(order)
-        raise CycleError(_find_cycle(procs, direct, leftover))
+        raise CycleError(_find_cycle(names, direct, leftover))
 
     reach = [0] * n
     for i in reversed(order):
@@ -170,4 +170,4 @@ def happened_before(trace: Trace) -> CausalStructure:
         for j in direct[i]:
             ancestors[j] |= ancestors[i] | 1 << i
     causality = tuple([r | a for r, a in zip(reach, ancestors)])
-    return CausalStructure(procs, tuple(reach), causality)
+    return CausalStructure(names, tuple(reach), causality)

@@ -19,8 +19,8 @@ from .trace_model import Trace, UntimedTraceError
 
 @dataclass(frozen=True)
 class TimeLine:
-    """Time points (member sets) in their linear order plus the canonical
-    process order (site index, then position) for deterministic rendering."""
+    """Time points (member sets) in their linear order plus the process
+    names in ordinal order, for deterministic rendering."""
 
     points: tuple[frozenset[str], ...]
     process_order: tuple[str, ...]
@@ -58,7 +58,7 @@ def time_points(trace: Trace) -> TimeLine:
     if trace.timing is None:
         raise UntimedTraceError("operation requires a timed trace")
     ticks = trace.ticks
-    names = trace.names
+    names = trace.processes
     events = []
     for i, name in enumerate(names):
         try:

@@ -13,9 +13,14 @@ and ``site`` lines must precede ``msg`` and ``time`` lines::
 Numbers are exact rationals written as integers or decimal literals
 (optional sign, digits, at most one decimal point).  They are stored as
 ``fractions.Fraction``, never as binary floating point, so boundary
-comparisons are exact.  Serialization emits sites in index order, messages
-in declaration order and times in (site, position) order with exactly one
-space around each token, which makes it byte-stable under re-parsing.
+comparisons are exact.
+
+A process is its name.  A ``Site`` holds its name and its process names in
+order, a ``Message`` holds the sender's and the receiver's names, and
+``Trace.processes`` lists every name site by site; a process's index in that
+tuple is its ordinal.  Serialization emits sites in order, messages in
+declaration order and times in ordinal order with exactly one space around
+each token, which makes it byte-stable under re-parsing.
 """
 
 from __future__ import annotations
@@ -81,28 +86,18 @@ class MessageBudgetError(ValueError):
 
 
 @dataclass(frozen=True)
-class ProcessId:
-    """A process, identified by site index, position within the site, and a
-    globally unique name."""
-
-    site_index: int
-    position: int
-    name: str
-
-
-@dataclass(frozen=True)
 class Message:
-    """A message edge: the sender ends with the send event, the receiver
-    begins with the receive event."""
+    """A message edge between two process names: the sender ends with the
+    send event, the receiver begins with the receive event."""
 
-    sender: ProcessId
-    receiver: ProcessId
+    sender: str
+    receiver: str
 
 
 @dataclass(frozen=True)
 class Site:
     name: str
-    processes: tuple[ProcessId, ...]
+    processes: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -115,16 +110,14 @@ class Trace:
     timing: dict[str, tuple[Fraction, Fraction]] | None = None
 
     @cached_property
-    def processes(self) -> tuple[ProcessId, ...]:
-        return tuple([p for site in self.sites for p in site.processes])
+    def processes(self) -> tuple[str, ...]:
+        """Every process name, in ordinal order."""
+        return tuple([name for site in self.sites for name in site.processes])
 
     @cached_property
-    def names(self) -> tuple[str, ...]:
-        return tuple([p.name for p in self.processes])
-
-    @cached_property
-    def _by_name(self) -> dict[str, ProcessId]:
-        return {p.name: p for p in self.processes}
+    def _site_of(self) -> dict[str, int]:
+        """Process name -> index of its site in ``sites``."""
+        return {name: i for i, site in enumerate(self.sites) for name in site.processes}
 
     @cached_property
     def ticks(self) -> dict[str, tuple[int, int]]:
@@ -198,7 +191,7 @@ def parse_trace(text: str) -> Trace:
     in the line, so that its column is found only when it fails."""
     sites: list[Site] = []
     site_names: set[str] = set()
-    by_name: dict[str, ProcessId] = {}
+    site_of: dict[str, int] = {}
     messages: list[Message] = []
     timing: dict[str, tuple[Fraction, Fraction]] = {}
     numbers = _Numbers()
@@ -218,32 +211,30 @@ def parse_trace(text: str) -> Trace:
                 if site_name in site_names:
                     raise _error_at(raw, lineno, 1, f"duplicate site name {site_name!r}")
                 site_names.add(site_name)
-            pids: list[ProcessId] = []
-            for position, name in enumerate(procs.split() if procs else ()):
-                if name in by_name:
+            names = tuple(procs.split()) if procs else ()
+            for position, name in enumerate(names):
+                if name in site_of:
                     raise _error_at(raw, lineno, 3 + position, f"duplicate process name {name!r}")
-                by_name[name] = pid = ProcessId(len(sites), position, name)
-                pids.append(pid)
+                site_of[name] = len(sites)
             if syntax is not None:
                 raise syntax
-            if not pids:
+            if not names:
                 raise _error_at(raw, lineno, 0, f"site {site_name!r} has no processes")
-            sites.append(Site(site_name, tuple(pids)))
+            sites.append(Site(site_name, names))
         elif keyword == "msg":
             past_sites = True
-            if sender is not None and sender not in by_name:
+            if sender is not None and sender not in site_of:
                 raise _error_at(raw, lineno, 1, f"unknown process {sender!r}")
-            if receiver is not None and receiver not in by_name:
+            if receiver is not None and receiver not in site_of:
                 raise _error_at(raw, lineno, 3, f"unknown process {receiver!r}")
             if syntax is not None:
                 raise syntax
-            message = Message(by_name[sender], by_name[receiver])
-            if message.sender.site_index == message.receiver.site_index:
+            if site_of[sender] == site_of[receiver]:
                 raise _error_at(raw, lineno, 0, f"intra-site message {sender} -> {receiver}")
-            messages.append(message)
+            messages.append(Message(sender, receiver))
         elif keyword == "time":
             past_sites = True
-            if process is not None and process not in by_name:
+            if process is not None and process not in site_of:
                 raise _error_at(raw, lineno, 1, f"unknown process {process!r}")
             if syntax is not None:
                 raise syntax
@@ -256,7 +247,7 @@ def parse_trace(text: str) -> Trace:
     if not sites:
         raise TraceParseError("empty trace: no site lines")
     if timing:
-        for name in by_name:
+        for name in site_of:
             if name not in timing:
                 raise TraceParseError(f"partial timing: no entry for {name!r}")
     return Trace(tuple(sites), tuple(messages), timing or None)
@@ -334,13 +325,13 @@ def _format_rational(x: Fraction) -> str:
 def serialize_trace(trace: Trace) -> str:
     lines = []
     for site in trace.sites:
-        lines.append(f"site {site.name} : " + " ".join(p.name for p in site.processes))
+        lines.append(f"site {site.name} : " + " ".join(site.processes))
     for message in trace.messages:
-        lines.append(f"msg {message.sender.name} -> {message.receiver.name}")
+        lines.append(f"msg {message.sender} -> {message.receiver}")
     if trace.timing is not None:
-        for pid in trace.processes:
-            start, end = trace.timing[pid.name]
-            lines.append(f"time {pid.name} = {_format_rational(start)} .. {_format_rational(end)}")
+        for name in trace.processes:
+            start, end = trace.timing[name]
+            lines.append(f"time {name} = {_format_rational(start)} .. {_format_rational(end)}")
     return "\n".join(lines) + "\n"
 
 
@@ -351,14 +342,14 @@ def timing_problems(trace: Trace) -> list[str]:
         return []
     problems: list[str] = []
     timing, ticks = trace.timing, trace.ticks
-    for name in trace.names:
+    for name in trace.processes:
         if name not in timing:
             problems.append(f"partial timing: no entry for {name}")
     for name in timing:
-        if name not in trace._by_name:
+        if name not in trace._site_of:
             problems.append(f"time entry for unknown process {name}")
     for site in trace.sites:
-        timed = [p.name for p in site.processes if p.name in ticks]
+        timed = [name for name in site.processes if name in ticks]
         for name in timed:
             start, end = ticks[name]
             if end <= start:
@@ -371,7 +362,7 @@ def timing_problems(trace: Trace) -> list[str]:
             elif end_a > start_b:
                 problems.append(f"overlap at site {site.name} between {a} and {b}")
     for message in trace.messages:
-        s, r = message.sender.name, message.receiver.name
+        s, r = message.sender, message.receiver
         if s in ticks and r in ticks and ticks[s][1] >= ticks[r][0]:
             problems.append(
                 f"message {s} -> {r} is not causally timed "
@@ -383,36 +374,35 @@ def timing_problems(trace: Trace) -> list[str]:
 def validate(trace: Trace) -> list[str]:
     """Return violated invariants as human-readable entries; empty means valid.
 
-    Covers structural consistency (dense indices, unique names, non-empty
-    sites), timing totality and per-site partitioning, message timing, and
-    acyclicity of the happened-before relation.
+    Covers structural consistency (unique valid names, non-empty sites,
+    messages between known processes of different sites), timing totality
+    and per-site partitioning, message timing, and acyclicity of the
+    happened-before relation.
     """
     problems: list[str] = []
     seen_sites: set[str] = set()
     seen: set[str] = set()
-    for i, site in enumerate(trace.sites):
+    for site in trace.sites:
         if site.name in seen_sites:
             problems.append(f"duplicate site name {site.name}")
         seen_sites.add(site.name)
         if not site.processes:
             problems.append(f"site {site.name} has no processes")
-        for k, pid in enumerate(site.processes):
-            if not NAME_PATTERN.match(pid.name):
-                problems.append(f"invalid process name {pid.name!r}")
-            if pid.name in seen:
-                problems.append(f"duplicate process name {pid.name}")
-            seen.add(pid.name)
-            if pid.site_index != i or pid.position != k:
-                problems.append(f"process {pid.name} has inconsistent site/position indices")
+        for name in site.processes:
+            if not NAME_PATTERN.match(name):
+                problems.append(f"invalid process name {name!r}")
+            if name in seen:
+                problems.append(f"duplicate process name {name}")
+            seen.add(name)
 
+    site_of = trace._site_of
     for message in trace.messages:
-        for pid in (message.sender, message.receiver):
-            if trace._by_name.get(pid.name) != pid:
-                problems.append(f"message endpoint {pid.name} is not a process of this trace")
-        if message.sender.site_index == message.receiver.site_index:
-            problems.append(
-                f"intra-site message {message.sender.name} -> {message.receiver.name}"
-            )
+        s, r = message.sender, message.receiver
+        for name in (s, r):
+            if name not in site_of:
+                problems.append(f"message endpoint {name} is not a process of this trace")
+        if s in site_of and site_of[s] == site_of.get(r):
+            problems.append(f"intra-site message {s} -> {r}")
 
     problems.extend(timing_problems(trace))
 
@@ -445,23 +435,25 @@ def gen_random(seed: int, n_sites: int, procs_per_site: int, n_messages: int) ->
     timing: dict[str, tuple[Fraction, Fraction]] = {}
     for i in range(n_sites):
         clock = Fraction(rng.randint(0, 3))
-        procs: list[ProcessId] = []
+        procs: list[str] = []
         for k in range(procs_per_site):
             name = f"s{i + 1}p{k + 1}"
             duration = rng.randint(1, 3)
             timing[name] = (clock, clock + duration)
             clock += duration
-            procs.append(ProcessId(i, k, name))
+            procs.append(name)
         sites.append(Site(f"s{i + 1}", tuple(procs)))
-    everyone = [p for site in sites for p in site.processes]
-    starts = [[timing[p.name][0] for p in site.processes] for site in sites]
-    ordered = sorted(timing[p.name][0] for p in everyone)
+    everyone = list(timing)  # in ordinal order: ordinal k is on site k // procs_per_site
+    starts = [[timing[p][0] for p in site.processes] for site in sites]
+    ordered = sorted([start for start, _ in timing.values()])
 
-    def later(row: list[Fraction], p: ProcessId) -> int:
+    def later(row: list[Fraction], p: str) -> int:
         """How many of the sorted starts in row come after p ends."""
-        return len(row) - bisect.bisect_right(row, timing[p.name][1])
+        return len(row) - bisect.bisect_right(row, timing[p][1])
 
-    counts = [later(ordered, a) - later(starts[a.site_index], a) for a in everyone]
+    counts = [
+        later(ordered, a) - later(starts[k // procs_per_site], a) for k, a in enumerate(everyone)
+    ]
     cumulative = list(itertools.accumulate(counts))
     if n_messages > cumulative[-1]:
         raise MessageBudgetError(n_messages, cumulative[-1])
@@ -470,7 +462,7 @@ def gen_random(seed: int, n_sites: int, procs_per_site: int, n_messages: int) ->
         sender = bisect.bisect_right(cumulative, index)
         a, rest = everyone[sender], index - cumulative[sender] + counts[sender]
         for j, site in enumerate(sites):
-            suffix = later(starts[j], a) if j != a.site_index else 0
+            suffix = later(starts[j], a) if j != sender // procs_per_site else 0
             if rest < suffix:
                 messages.append(Message(a, site.processes[len(site.processes) - suffix + rest]))
                 break

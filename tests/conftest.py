@@ -6,7 +6,7 @@ import hypothesis.strategies as st
 import pytest
 
 from orthochron import MessageBudgetError, gen_random, parse_trace
-from orthochron.trace_model import Message, ProcessId, Site, Trace
+from orthochron.trace_model import Message, Site, Trace
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -52,11 +52,11 @@ def rational_traces(draw, tiled: bool):
             spans = list(zip(bounds, bounds[1:]))
         else:
             spans = draw(st.lists(st.tuples(times, times), min_size=1, max_size=3))
-        procs = tuple(ProcessId(i, k, f"s{i}p{k}") for k in range(len(spans)))
-        timing.update((p.name, span) for p, span in zip(procs, spans))
+        procs = tuple(f"s{i}p{k}" for k in range(len(spans)))
+        timing.update(zip(procs, spans))
         sites.append(Site(f"s{i}", procs))
-    everyone = [p for site in sites for p in site.processes]
-    pairs = [(a, b) for a in everyone for b in everyone if a.site_index != b.site_index]
+    everyone = [(i, p) for i, site in enumerate(sites) for p in site.processes]
+    pairs = [(a, b) for i, a in everyone for j, b in everyone if i != j]
     chosen = draw(st.lists(st.sampled_from(pairs), max_size=4)) if pairs else []
     return Trace(tuple(sites), tuple(Message(a, b) for a, b in chosen), timing)
 

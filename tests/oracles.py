@@ -29,7 +29,6 @@ from orthochron.ortholattice import OrthoLattice, format_members, ortho_mask
 from orthochron.trace_model import (
     Message,
     MessageBudgetError,
-    ProcessId,
     Site,
     Trace,
     TraceParseError,
@@ -42,9 +41,9 @@ def brute_happened_before(trace):
     for site in trace.sites:
         for i, a in enumerate(site.processes):
             for b in site.processes[i + 1:]:
-                rel.add((a.name, b.name))
+                rel.add((a, b))
     for message in trace.messages:
-        rel.add((message.sender.name, message.receiver.name))
+        rel.add((message.sender, message.receiver))
     changed = True
     while changed:
         changed = False
@@ -69,7 +68,7 @@ def earlier(trace, p, q):
 
 def brute_time_points(trace):
     """Maximal pairwise-overlapping subsets, by powerset filtering."""
-    names = [p.name for p in trace.processes]
+    names = trace.processes
     cliques = []
     for r in range(1, len(names) + 1):
         for combo in combinations(names, r):
@@ -348,11 +347,9 @@ def eval_ortho(tree, cs):
         if node == "1":
             return cs.full_mask
         if isinstance(node, str):
-            try:
-                bit = 1 << cs.ordinal(node)
-            except KeyError:
-                raise ValueError(f"unknown atom {node!r}") from None
-            return ortho_mask(cs, ortho_mask(cs, bit))
+            if node not in cs.names:
+                raise ValueError(f"unknown atom {node!r}")
+            return ortho_mask(cs, ortho_mask(cs, 1 << cs.names.index(node)))
         if node[0] == "~":
             return ortho_mask(cs, go(node[1]))
         left, right = go(node[1]), go(node[2])
@@ -440,14 +437,14 @@ def gen_random(seed, n_sites, procs_per_site, n_messages):
             duration = rng.randint(1, 3)
             timing[name] = (clock, clock + duration)
             clock += duration
-            procs.append(ProcessId(i, k, name))
+            procs.append(name)
         sites.append(Site(f"s{i + 1}", tuple(procs)))
-    everyone = [p for site in sites for p in site.processes]
+    everyone = [(i, p) for i, site in enumerate(sites) for p in site.processes]
     candidates = [
         (a, b)
-        for a in everyone
-        for b in everyone
-        if a.site_index != b.site_index and timing[a.name][1] < timing[b.name][0]
+        for i, a in everyone
+        for j, b in everyone
+        if i != j and timing[a][1] < timing[b][0]
     ]
     if n_messages > len(candidates):
         raise MessageBudgetError(n_messages, len(candidates))
@@ -516,7 +513,7 @@ def parse_trace(text: str) -> Trace:
     duplicate or unknown names, intra-site messages and partial timing."""
     sites: list[Site] = []
     site_names: set[str] = set()
-    by_name: dict[str, ProcessId] = {}
+    site_of: dict[str, int] = {}
     messages: list[Message] = []
     timing: dict[str, tuple[Fraction, Fraction]] = {}
     past_sites = False
@@ -535,39 +532,36 @@ def parse_trace(text: str) -> Trace:
                 raise TraceParseError(f"duplicate site name {site_name!r}", lineno, name_col)
             site_names.add(site_name)
             reader.take("punct", "':'", ":")
-            procs: list[ProcessId] = []
+            procs: list[str] = []
             while not reader.done():
                 proc_name, proc_col = reader.take("name", "process name")
-                if proc_name in by_name:
+                if proc_name in site_of:
                     raise TraceParseError(f"duplicate process name {proc_name!r}", lineno, proc_col)
-                pid = ProcessId(len(sites), len(procs), proc_name)
-                by_name[proc_name] = pid
-                procs.append(pid)
+                site_of[proc_name] = len(sites)
+                procs.append(proc_name)
             if not procs:
                 raise TraceParseError(f"site {site_name!r} has no processes", lineno, col)
             sites.append(Site(site_name, tuple(procs)))
         elif keyword == "msg":
             past_sites = True
-            sender = _resolve(reader, by_name, "sender")
+            sender = _resolve(reader, site_of, "sender")
             reader.take("punct", "'->'", "->")
-            receiver = _resolve(reader, by_name, "receiver")
+            receiver = _resolve(reader, site_of, "receiver")
             reader.expect_end()
-            if sender.site_index == receiver.site_index:
-                raise TraceParseError(
-                    f"intra-site message {sender.name} -> {receiver.name}", lineno, col
-                )
+            if site_of[sender] == site_of[receiver]:
+                raise TraceParseError(f"intra-site message {sender} -> {receiver}", lineno, col)
             messages.append(Message(sender, receiver))
         elif keyword == "time":
             past_sites = True
-            pid = _resolve(reader, by_name, "process")
+            name = _resolve(reader, site_of, "process")
             reader.take("punct", "'='", "=")
             start_text, _ = reader.take("number", "start time")
             reader.take("punct", "'..'", "..")
             end_text, _ = reader.take("number", "end time")
             reader.expect_end()
-            if pid.name in timing:
-                raise TraceParseError(f"duplicate time entry for {pid.name!r}", lineno, col)
-            timing[pid.name] = (Fraction(start_text), Fraction(end_text))
+            if name in timing:
+                raise TraceParseError(f"duplicate time entry for {name!r}", lineno, col)
+            timing[name] = (Fraction(start_text), Fraction(end_text))
         else:
             raise TraceParseError(
                 f"expected 'site', 'msg' or 'time', found {keyword!r}", lineno, col
@@ -576,17 +570,17 @@ def parse_trace(text: str) -> Trace:
     if not sites:
         raise TraceParseError("empty trace: no site lines")
     if timing:
-        for pid in by_name.values():
-            if pid.name not in timing:
-                raise TraceParseError(f"partial timing: no entry for {pid.name!r}")
+        for name in site_of:
+            if name not in timing:
+                raise TraceParseError(f"partial timing: no entry for {name!r}")
     return Trace(tuple(sites), tuple(messages), timing or None)
 
 
-def _resolve(reader: _LineReader, by_name: dict[str, ProcessId], role: str) -> ProcessId:
+def _resolve(reader: _LineReader, site_of: dict[str, int], role: str) -> str:
     name, col = reader.take("name", f"{role} process name")
-    if name not in by_name:
+    if name not in site_of:
         raise TraceParseError(f"unknown process {name!r}", reader.lineno, col)
-    return by_name[name]
+    return name
 
 
 def timing_problems(trace: Trace) -> list[str]:
@@ -595,27 +589,28 @@ def timing_problems(trace: Trace) -> list[str]:
         return []
     problems: list[str] = []
     timing = trace.timing
-    for name in trace.names:
+    names = [name for site in trace.sites for name in site.processes]
+    for name in names:
         if name not in timing:
             problems.append(f"partial timing: no entry for {name}")
     for name in timing:
-        if name not in trace._by_name:
+        if name not in names:
             problems.append(f"time entry for unknown process {name}")
     for site in trace.sites:
-        timed = [p for p in site.processes if p.name in timing]
-        for pid in timed:
-            start, end = timing[pid.name]
+        timed = [name for name in site.processes if name in timing]
+        for name in timed:
+            start, end = timing[name]
             if end <= start:
-                problems.append(f"process {pid.name} has non-positive duration")
+                problems.append(f"process {name} has non-positive duration")
         for a, b in zip(timed, timed[1:]):
-            end_a = timing[a.name][1]
-            start_b = timing[b.name][0]
+            end_a = timing[a][1]
+            start_b = timing[b][0]
             if end_a < start_b:
-                problems.append(f"gap at site {site.name} between {a.name} and {b.name}")
+                problems.append(f"gap at site {site.name} between {a} and {b}")
             elif end_a > start_b:
-                problems.append(f"overlap at site {site.name} between {a.name} and {b.name}")
+                problems.append(f"overlap at site {site.name} between {a} and {b}")
     for message in trace.messages:
-        s, r = message.sender.name, message.receiver.name
+        s, r = message.sender, message.receiver
         if s in timing and r in timing and timing[s][1] >= timing[r][0]:
             problems.append(
                 f"message {s} -> {r} is not causally timed "

@@ -224,7 +224,7 @@ def test_criterion_06():
             trace = gen_random(n, 1, n, 0)
             cs = happened_before(trace)
             lattice = enumerate_closed(cs)
-            names = frozenset(trace.names)
+            names = frozenset(trace.processes)
             # 2^n distinct subsets of an n-process universe is the powerset
             assert len(lattice) == 2 ** n
             for members in lattice.elements:

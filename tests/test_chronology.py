@@ -133,13 +133,13 @@ def test_sweep_on_non_decimal_and_negative_times(trace):
 def test_time_point_shape_invariants(seed):
     trace = random_trace(seed, seed % 4 + 1, seed % 3 + 1, seed % 4)
     timeline = time_points(trace)
-    site_of = {p.name: p.site_index for p in trace.processes}
+    site_of = {name: i for i, site in enumerate(trace.sites) for name in site.processes}
     covered = set()
     for members in timeline.points:
         sites = [site_of[name] for name in members]
         assert len(sites) == len(set(sites))
         covered |= members
-    assert covered == set(trace.names)
+    assert covered == set(trace.processes)
     _check_linear_order(trace, timeline)
 
 
@@ -147,7 +147,7 @@ def test_time_point_shape_invariants(seed):
 def test_intervals_are_contiguous_runs(seed):
     trace = random_trace(seed, seed % 3 + 1, seed % 4 + 1, seed % 3)
     timeline = time_points(trace)
-    for name in trace.names:
+    for name in trace.processes:
         indices = sorted(timeline.interval(name))
         assert indices
         assert indices == list(range(indices[0], indices[-1] + 1))

@@ -233,7 +233,7 @@ def test_eval_ortho_is_monotone_across_connectives(fig7, left, right):
 def test_single_site_degenerates_to_boolean_sets(formula):
     trace = parse_trace("site s : a b c\n")
     cs = happened_before(trace)
-    everyone = frozenset(trace.names)
+    everyone = frozenset(trace.processes)
 
     def naive(node):
         if node == "0":
@@ -266,7 +266,7 @@ def test_compare_laws_ortho_distributivity_first_failure(fig7):
     # independently rescan the instantiations to find the first mismatch
     expected = None
     count = 0
-    for a, b, c in itertools.product(fig7.names, repeat=3):
+    for a, b, c in itertools.product(fig7.processes, repeat=3):
         count += 1
         left = eval_ortho(parse_formula(f"({a} | {b}) & {c}"), cs)
         right = eval_ortho(parse_formula(f"({a} & {c}) | ({b} & {c})"), cs)

@@ -75,6 +75,28 @@ def test_close_examples(mo2, fig7):
     assert close(cs7, {"r3"}) == {"q5", "r3"}
 
 
+_UNKNOWN_PROCESS_CALLS = {
+    "ortho": lambda cs, lat: ortho(cs, {"p1", "ghost"}),
+    "close": lambda cs, lat: close(cs, {"ghost"}),
+    "is_closed": lambda cs, lat: is_closed(cs, {"ghost"}),
+    "index_of": lambda cs, lat: lat.index_of({"ghost"}),
+    "meet": lambda cs, lat: lat.meet(set(), {"ghost"}),
+    "join": lambda cs, lat: lat.join({"ghost"}, set()),
+    "complement_of": lambda cs, lat: lat.complement_of({"ghost"}),
+    "causally_related": lambda cs, lat: cs.causally_related("p1", "ghost"),
+    "neighborhood": lambda cs, lat: cs.neighborhood("ghost"),
+    "temporally_contains": lambda cs, lat: cs.temporally_contains(["p1"], "ghost"),
+    "mask_of": lambda cs, lat: cs.mask_of(["ghost"]),
+    "ordinal": lambda cs, lat: cs.ordinal("ghost"),
+}
+
+
+@pytest.mark.parametrize("call", _UNKNOWN_PROCESS_CALLS)
+def test_unknown_process_names_raise_value_error(fig7_lattice, call):
+    with pytest.raises(ValueError, match="^unknown process 'ghost'$"):
+        _UNKNOWN_PROCESS_CALLS[call](fig7_lattice.structure, fig7_lattice)
+
+
 def test_is_closed_examples(fig7):
     cs = happened_before(fig7)
     assert is_closed(cs, set(cs.names))
@@ -155,7 +177,7 @@ def test_single_site_powerset(n):
     trace = parse_trace(f"site s : {names}\n")
     lattice = enumerate_closed(happened_before(trace))
     assert len(lattice) == 2**n
-    everyone = set(trace.names)
+    everyone = set(trace.processes)
     for members in lattice.elements:
         assert lattice.complement_of(members) == everyone - members
     assert lattice.check_laws("distributivity").holds

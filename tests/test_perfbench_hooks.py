@@ -32,6 +32,22 @@ def test_tracer_finds_every_layer(capsys):
     assert {"trace_model.parse", "ortholattice.check_laws"} <= names
 
 
+def test_parse_counts_processes_and_messages(capsys):
+    """The benchmark's input-size counters read ``len(trace.processes)`` and
+    ``len(trace.messages)`` off the parsed trace: one per process name and
+    one per message of fig7."""
+    tracer = Tracer()
+    tracer.install()
+    try:
+        assert tracer.missing == []
+        code = tracer.request(main, ["validate", str(fixture_path("fig7.trace"))])
+    finally:
+        tracer.uninstall()
+    assert (code, capsys.readouterr().out) == (0, "valid\n")
+    assert tracer.counts["trace_model.processes"] == 12
+    assert tracer.counts["trace_model.messages"] == 4
+
+
 @pytest.mark.parametrize("law", list(LAWS))
 def test_boolean_laws_build_one_timeline(capsys, law):
     tracer = Tracer()

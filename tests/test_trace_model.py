@@ -17,7 +17,7 @@ from orthochron import (
     serialize_trace,
     validate,
 )
-from orthochron.trace_model import Message, ProcessId, Site, timing_problems
+from orthochron.trace_model import Message, Site, timing_problems
 
 import oracles
 from conftest import fixture_text, random_trace, rational_traces
@@ -25,7 +25,7 @@ from conftest import fixture_text, random_trace, rational_traces
 
 def test_parse_fig2_structure(fig2):
     assert [site.name for site in fig2.sites] == ["x", "y", "z"]
-    assert fig2.names == (
+    assert fig2.processes == (
         "p1", "p2", "p3", "p4", "q1", "q2", "q3", "q4", "q5", "r1", "r2", "r3",
     )
     assert fig2.timing["p2"] == (Fraction(2), Fraction(5))
@@ -33,12 +33,10 @@ def test_parse_fig2_structure(fig2):
     assert fig2.timing["r3"][1] == 10
 
 
-def test_parse_assigns_site_and_position_indices(fig7):
-    q3 = fig7.sites[1].processes[2]
-    assert q3.name == "q3"
-    assert (q3.site_index, q3.position) == (1, 2)
-    assert fig7.messages[0].sender.name == "p1"
-    assert fig7.messages[0].receiver.name == "q3"
+def test_parse_keeps_process_names_in_site_order(fig7):
+    assert fig7.sites[1].processes[2] == "q3"
+    assert fig7.processes.index("q3") == len(fig7.sites[0].processes) + 2
+    assert fig7.messages[0] == Message("p1", "q3")
 
 
 def test_parse_untimed_trace(fig5):
@@ -49,7 +47,7 @@ def test_parse_untimed_trace(fig5):
 
 def test_comments_and_blank_lines_ignored():
     trace = parse_trace("# header\n\nsite x : a b  # inline\n\nsite y : c\n")
-    assert trace.names == ("a", "b", "c")
+    assert trace.processes == ("a", "b", "c")
 
 
 def test_decimal_timestamps_are_exact_rationals():
@@ -73,7 +71,7 @@ def test_fixtures_serialize_byte_stable(name):
 
 
 def test_serialize_rejects_non_decimal_rational():
-    site = Site("x", (ProcessId(0, 0, "a"),))
+    site = Site("x", ("a",))
     trace = Trace((site,), (), {"a": (Fraction(0), Fraction(1, 3))})
     with pytest.raises(ValueError):
         serialize_trace(trace)
@@ -202,8 +200,7 @@ def test_validate_reports_untimely_message():
 
 def _two_sites(a_span, b_span):
     """Processes a on site x and b on site y, and a message a -> b."""
-    a, b = ProcessId(0, 0, "a"), ProcessId(1, 0, "b")
-    return Trace((Site("x", (a,)), Site("y", (b,))), (Message(a, b),), {"a": a_span, "b": b_span})
+    return Trace((Site("x", ("a",)), Site("y", ("b",))), (Message("a", "b"),), {"a": a_span, "b": b_span})
 
 
 def test_untimely_message_prints_fractions():
@@ -234,28 +231,45 @@ def test_validate_reports_causal_cycle():
 
 
 def test_validate_reports_duplicate_process_names():
-    site_a = Site("x", (ProcessId(0, 0, "a"),))
-    site_b = Site("y", (ProcessId(1, 0, "a"),))
+    site_a = Site("x", ("a",))
+    site_b = Site("y", ("a",))
     report = validate(Trace((site_a, site_b)))
     assert "duplicate process name a" in report
 
 
+def _structural_traces():
+    """Traces built directly, each with exactly one structural fault."""
+    x, y = Site("x", ("a", "b")), Site("y", ("c",))
+    return {
+        "duplicate site name x": Trace((x, Site("x", ("c",)))),
+        "site y has no processes": Trace((x, Site("y", ()))),
+        "invalid process name '1a'": Trace((Site("x", ("1a",)),)),
+        "duplicate process name a": Trace((x, Site("y", ("a",)))),
+        "message endpoint ghost is not a process of this trace": Trace(
+            (x, y), (Message("a", "ghost"),)
+        ),
+        "intra-site message a -> b": Trace((x, y), (Message("a", "b"), Message("a", "c"))),
+        "time entry for unknown process ghost": Trace(
+            (Site("x", ("a",)),), (), {"a": (Fraction(0), Fraction(1)), "ghost": (Fraction(1), Fraction(2))}
+        ),
+    }
+
+
+@pytest.mark.parametrize("entry", list(_structural_traces()))
+def test_validate_reports_structural_entries(entry):
+    assert validate(_structural_traces()[entry]) == [entry]
+
+
 def test_validate_reports_partial_timing():
-    site = Site("x", (ProcessId(0, 0, "a"), ProcessId(0, 1, "b")))
+    site = Site("x", ("a", "b"))
     trace = Trace((site,), (), {"a": (Fraction(0), Fraction(1))})
     assert "partial timing: no entry for b" in validate(trace)
-
-
-def test_validate_reports_inconsistent_indices():
-    site = Site("x", (ProcessId(0, 1, "a"),))
-    report = validate(Trace((site,)))
-    assert "process a has inconsistent site/position indices" in report
 
 
 def test_gen_random_single_site():
     trace = gen_random(1, 1, 3, 0)
     assert len(trace.sites) == 1
-    assert trace.names == ("s1p1", "s1p2", "s1p3")
+    assert trace.processes == ("s1p1", "s1p2", "s1p3")
     assert trace.messages == ()
     assert trace.timing["s1p1"][1] == trace.timing["s1p2"][0]
 
@@ -305,9 +319,9 @@ def test_generated_sites_partition_their_span(seed):
     trace = random_trace(seed, seed % 4 + 1, seed % 4 + 1, 0)
     for site in trace.sites:
         for a, b in zip(site.processes, site.processes[1:]):
-            assert trace.timing[a.name][1] == trace.timing[b.name][0]
+            assert trace.timing[a][1] == trace.timing[b][0]
         for p in site.processes:
-            assert trace.timing[p.name][0] < trace.timing[p.name][1]
+            assert trace.timing[p][0] < trace.timing[p][1]
 
 
 def test_untimed_variant_of_generated_trace_is_valid():
