@@ -138,21 +138,17 @@ def _find_cycle(
 
 def happened_before(trace: Trace) -> CausalStructure:
     """Build the happened-before order of a trace, or raise CycleError with
-    one cycle's edge list if the relation is not acyclic."""
+    one cycle's edge list if the relation is not acyclic.  A ``Trace`` is
+    well formed by construction, so every edge joins two of its processes."""
     names = trace.processes
     n = len(names)
     index = {name: i for i, name in enumerate(names)}
-    if len(index) != n:
-        raise ValueError("duplicate process names")
     direct: list[list[int]] = [[] for _ in range(n)]
     for site in trace.sites:
         for a, b in zip(site.processes, site.processes[1:]):
             direct[index[a]].append(index[b])
-    try:
-        for message in trace.messages:
-            direct[index[message.sender]].append(index[message.receiver])
-    except KeyError as missing:
-        raise ValueError(f"message endpoint {missing.args[0]} is not a process of this trace") from None
+    for message in trace.messages:
+        direct[index[message.sender]].append(index[message.receiver])
 
     order = _topological_order(n, direct)
     if len(order) < n:

@@ -40,7 +40,7 @@ class TimeLine:
 
     def interval(self, name: str) -> frozenset[int]:
         if name not in self._rank:
-            raise KeyError(name)
+            raise ValueError(f"unknown process {name!r}")
         return frozenset(i for i, point in enumerate(self.points) if name in point)
 
 
@@ -52,8 +52,9 @@ def time_points(trace: Trace) -> TimeLine:
     intervals are never co-active.  A clique is emitted just before the first
     removal that follows at least one insertion; for interval graphs this
     yields exactly the maximal cliques, each once, ordered by their common
-    overlap window.  Raises ValueError naming the first process that has no
-    time entry or whose interval does not end after it starts.
+    overlap window.  A ``Trace``'s timing is total by construction; raises
+    ValueError naming the first process whose interval does not end after
+    it starts.
     """
     if trace.timing is None:
         raise UntimedTraceError("operation requires a timed trace")
@@ -61,10 +62,7 @@ def time_points(trace: Trace) -> TimeLine:
     names = trace.processes
     events = []
     for i, name in enumerate(names):
-        try:
-            start, end = ticks[name]
-        except KeyError:
-            raise ValueError(f"process {name} has no time entry") from None
+        start, end = ticks[name]
         if end <= start:
             raise ValueError(f"process {name} has non-positive duration")
         events.append((end, 0, i))

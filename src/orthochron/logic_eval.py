@@ -169,7 +169,7 @@ def _evaluate(program: tuple[str, ...], model: TimeLine | CausalStructure) -> fr
         if token not in _SYMBOLS and token not in columns:
             try:
                 columns[token] = [value(token)]
-            except (KeyError, ValueError):
+            except ValueError:
                 raise ValueError(f"unknown atom {token!r}") from None
     return _decode(model, _run(program, columns, algebra)[0])
 

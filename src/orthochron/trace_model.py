@@ -39,6 +39,7 @@ _NUMBER = r"[+-]?\d+(?:\.\d+)?"
 _KEYWORD = "'site', 'msg' or 'time'"
 
 NAME_PATTERN = re.compile(_NAME + r"\Z")
+_NAMES = re.compile(rf"{_NAME}(?: {_NAME})*\Z")
 
 _TOKEN = re.compile(rf"(?P<number>{_NUMBER})|(?P<name>{_NAME})|(?P<punct>->|\.\.|[:=])")
 
@@ -102,22 +103,53 @@ class Site:
 
 @dataclass(frozen=True)
 class Trace:
-    """An immutable trace.  ``timing`` maps process name to (start, end) and
-    is either total over all processes or ``None``."""
+    """An immutable, well-formed trace.  ``timing`` maps process name to
+    (start, end) and is either total over all processes or ``None``.
+
+    Construction raises ValueError on a structural fault: a duplicate site
+    or process name, an invalid process name, a site without processes, a
+    message endpoint that is unknown or on the sender's site, or timing not
+    keyed by exactly the processes.  Timing values are ``validate``'s job."""
 
     sites: tuple[Site, ...]
     messages: tuple[Message, ...] = ()
     timing: dict[str, tuple[Fraction, Fraction]] | None = None
 
+    def __post_init__(self):
+        names = self.processes
+        site_of = {name: i for i, site in enumerate(self.sites) for name in site.processes}
+        site_names = [site.name for site in self.sites]
+        if len(set(site_names)) < len(site_names):
+            raise ValueError(f"duplicate site name {_first_repeat(site_names)!r}")
+        for site in self.sites:
+            if not site.processes:
+                raise ValueError(f"site {site.name!r} has no processes")
+        # one match over the joined names; counting the separators rules out
+        # a name that contains one
+        joined = " ".join(names)
+        if names and (joined.count(" ") != len(names) - 1 or not _NAMES.match(joined)):
+            invalid = next(name for name in names if not NAME_PATTERN.match(name))
+            raise ValueError(f"invalid process name {invalid!r}")
+        if len(site_of) < len(names):
+            raise ValueError(f"duplicate process name {_first_repeat(names)!r}")
+        for message in self.messages:
+            sender, receiver = site_of.get(message.sender), site_of.get(message.receiver)
+            if sender is None or receiver is None:
+                unknown = message.receiver if sender is not None else message.sender
+                raise ValueError(f"message endpoint {unknown} is not a process of this trace")
+            if sender == receiver:
+                raise ValueError(f"intra-site message {message.sender} -> {message.receiver}")
+        if self.timing is not None and self.timing.keys() != site_of.keys():
+            for name in names:
+                if name not in self.timing:
+                    raise ValueError(f"partial timing: no entry for {name!r}")
+            unknown = next(name for name in self.timing if name not in site_of)
+            raise ValueError(f"time entry for unknown process {unknown!r}")
+
     @cached_property
     def processes(self) -> tuple[str, ...]:
         """Every process name, in ordinal order."""
         return tuple([name for site in self.sites for name in site.processes])
-
-    @cached_property
-    def _site_of(self) -> dict[str, int]:
-        """Process name -> index of its site in ``sites``."""
-        return {name: i for i, site in enumerate(self.sites) for name in site.processes}
 
     @cached_property
     def ticks(self) -> dict[str, tuple[int, int]]:
@@ -130,6 +162,12 @@ class Trace:
             name: (start.numerator * scale // start.denominator, end.numerator * scale // end.denominator)
             for name, (start, end) in self.timing.items()
         }
+
+
+def _first_repeat(names: list[str] | tuple[str, ...]) -> str:
+    """The first name that occurs a second time."""
+    seen: set[str] = set()
+    return next(name for name in names if name in seen or seen.add(name))
 
 
 def _tokenize(line: str, lineno: int) -> list[tuple[str, str, int]]:
@@ -182,8 +220,10 @@ class _LineReader:
 
 
 def parse_trace(text: str) -> Trace:
-    """Parse a trace document.  Raises TraceParseError on syntax errors,
-    duplicate or unknown names, intra-site messages and partial timing.
+    """Parse a trace document.  Raises TraceParseError with the line and
+    column of a syntax error, a duplicate or unknown name or an intra-site
+    message, and without a position for an empty trace or partial timing,
+    which the ``Trace`` constructor finds.
 
     Each line is matched whole by ``_LINE``; only a line it rejects goes
     through the tokenizer, which words the error.  Both feed the same checks,
@@ -246,11 +286,10 @@ def parse_trace(text: str) -> Trace:
 
     if not sites:
         raise TraceParseError("empty trace: no site lines")
-    if timing:
-        for name in site_of:
-            if name not in timing:
-                raise TraceParseError(f"partial timing: no entry for {name!r}")
-    return Trace(tuple(sites), tuple(messages), timing or None)
+    try:
+        return Trace(tuple(sites), tuple(messages), timing or None)
+    except ValueError as exc:  # only partial timing is left; the rest failed above
+        raise TraceParseError(str(exc)) from None
 
 
 class _Numbers(dict):
@@ -336,25 +375,18 @@ def serialize_trace(trace: Trace) -> str:
 
 
 def timing_problems(trace: Trace) -> list[str]:
-    """validate's timing entries: totality, durations, tiling, message order.
-    Times are compared as ``Trace.ticks`` and printed as Fractions."""
+    """validate's timing entries: durations, tiling, message order.  Times
+    are compared as ``Trace.ticks`` and printed as Fractions."""
     if trace.timing is None:
         return []
     problems: list[str] = []
     timing, ticks = trace.timing, trace.ticks
-    for name in trace.processes:
-        if name not in timing:
-            problems.append(f"partial timing: no entry for {name}")
-    for name in timing:
-        if name not in trace._site_of:
-            problems.append(f"time entry for unknown process {name}")
     for site in trace.sites:
-        timed = [name for name in site.processes if name in ticks]
-        for name in timed:
+        for name in site.processes:
             start, end = ticks[name]
             if end <= start:
                 problems.append(f"process {name} has non-positive duration")
-        for a, b in zip(timed, timed[1:]):
+        for a, b in zip(site.processes, site.processes[1:]):
             end_a = ticks[a][1]
             start_b = ticks[b][0]
             if end_a < start_b:
@@ -363,7 +395,7 @@ def timing_problems(trace: Trace) -> list[str]:
                 problems.append(f"overlap at site {site.name} between {a} and {b}")
     for message in trace.messages:
         s, r = message.sender, message.receiver
-        if s in ticks and r in ticks and ticks[s][1] >= ticks[r][0]:
+        if ticks[s][1] >= ticks[r][0]:
             problems.append(
                 f"message {s} -> {r} is not causally timed "
                 f"(sender ends at {timing[s][1]}, receiver starts at {timing[r][0]})"
@@ -374,38 +406,11 @@ def timing_problems(trace: Trace) -> list[str]:
 def validate(trace: Trace) -> list[str]:
     """Return violated invariants as human-readable entries; empty means valid.
 
-    Covers structural consistency (unique valid names, non-empty sites,
-    messages between known processes of different sites), timing totality
-    and per-site partitioning, message timing, and acyclicity of the
-    happened-before relation.
+    A ``Trace`` is well formed by construction, so this covers what one can
+    still get wrong: non-positive durations, gaps and overlaps within a
+    site, untimely messages, and a cycle in the happened-before relation.
     """
-    problems: list[str] = []
-    seen_sites: set[str] = set()
-    seen: set[str] = set()
-    for site in trace.sites:
-        if site.name in seen_sites:
-            problems.append(f"duplicate site name {site.name}")
-        seen_sites.add(site.name)
-        if not site.processes:
-            problems.append(f"site {site.name} has no processes")
-        for name in site.processes:
-            if not NAME_PATTERN.match(name):
-                problems.append(f"invalid process name {name!r}")
-            if name in seen:
-                problems.append(f"duplicate process name {name}")
-            seen.add(name)
-
-    site_of = trace._site_of
-    for message in trace.messages:
-        s, r = message.sender, message.receiver
-        for name in (s, r):
-            if name not in site_of:
-                problems.append(f"message endpoint {name} is not a process of this trace")
-        if s in site_of and site_of[s] == site_of.get(r):
-            problems.append(f"intra-site message {s} -> {r}")
-
-    problems.extend(timing_problems(trace))
-
+    problems = timing_problems(trace)
     if not problems:
         from .causal_core import CycleError, happened_before
 

@@ -15,6 +15,8 @@ token-by-token trace parser at the end are the literal references for
 after it compare the Fractions themselves, the reference for
 ``timing_problems``, which compares integer ticks.  The formula parser
 scans characters itself and shares no code with ``orthochron``'s parser.
+``barrier_trace`` builds traces far past the brute-force limit whose closed
+sets ``barrier_lattice`` gives in closed form.
 """
 
 import itertools
@@ -326,10 +328,9 @@ def eval_boolean(tree, timeline):
         if node == "1":
             return universe
         if isinstance(node, str):
-            try:
-                return timeline.interval(node)
-            except KeyError:
-                raise ValueError(f"unknown atom {node!r}") from None
+            if node not in timeline.process_order:
+                raise ValueError(f"unknown atom {node!r}")
+            return frozenset(i for i, point in enumerate(timeline.points) if node in point)
         if node[0] == "~":
             return universe - go(node[1])
         left, right = go(node[1]), go(node[2])
@@ -450,6 +451,42 @@ def gen_random(seed, n_sites, procs_per_site, n_messages):
         raise MessageBudgetError(n_messages, len(candidates))
     messages = tuple(Message(a, b) for a, b in rng.sample(candidates, n_messages))
     return Trace(tuple(sites), messages, timing)
+
+
+def barrier_trace(n_sites, rounds):
+    """An untimed trace of ``n_sites`` sites with one process per round each,
+    ``s<i>r<r>``; every process of round r sends to every other site's
+    process of round r + 1."""
+    sites = tuple(Site(f"s{i}", tuple(f"s{i}r{r}" for r in range(rounds))) for i in range(n_sites))
+    messages = tuple(
+        Message(f"s{i}r{r}", f"s{j}r{r + 1}")
+        for r in range(rounds - 1)
+        for i in range(n_sites)
+        for j in range(n_sites)
+        if i != j
+    )
+    return Trace(sites, messages)
+
+
+def barrier_lattice(n_sites, rounds):
+    """The closed sets and cover pairs of ``barrier_trace`` with at least two
+    sites, as name sets, from the closed form.  A process is concurrent with
+    exactly the other processes of its round and related to every other
+    process, so its neighbourhood is the complement of its round.  The closed
+    sets are then the 2^rounds unions of rounds, a Boolean algebra, and its
+    covers add one round to a union that lacks it."""
+    round_sets = [frozenset(f"s{i}r{r}" for i in range(n_sites)) for r in range(rounds)]
+    unions = {
+        chosen: frozenset().union(*(round_sets[r] for r in range(rounds) if chosen >> r & 1))
+        for chosen in range(1 << rounds)
+    }
+    covers = {
+        (unions[chosen], unions[chosen | 1 << r])
+        for chosen in unions
+        for r in range(rounds)
+        if not chosen >> r & 1
+    }
+    return set(unions.values()), covers
 
 
 _TOKEN = re.compile(
@@ -584,25 +621,17 @@ def _resolve(reader: _LineReader, site_of: dict[str, int], role: str) -> str:
 
 
 def timing_problems(trace: Trace) -> list[str]:
-    """validate's timing entries: totality, durations, tiling, message order."""
+    """validate's timing entries: durations, tiling, message order."""
     if trace.timing is None:
         return []
     problems: list[str] = []
     timing = trace.timing
-    names = [name for site in trace.sites for name in site.processes]
-    for name in names:
-        if name not in timing:
-            problems.append(f"partial timing: no entry for {name}")
-    for name in timing:
-        if name not in names:
-            problems.append(f"time entry for unknown process {name}")
     for site in trace.sites:
-        timed = [name for name in site.processes if name in timing]
-        for name in timed:
+        for name in site.processes:
             start, end = timing[name]
             if end <= start:
                 problems.append(f"process {name} has non-positive duration")
-        for a, b in zip(timed, timed[1:]):
+        for a, b in zip(site.processes, site.processes[1:]):
             end_a = timing[a][1]
             start_b = timing[b][0]
             if end_a < start_b:
@@ -611,7 +640,7 @@ def timing_problems(trace: Trace) -> list[str]:
                 problems.append(f"overlap at site {site.name} between {a} and {b}")
     for message in trace.messages:
         s, r = message.sender, message.receiver
-        if s in timing and r in timing and timing[s][1] >= timing[r][0]:
+        if timing[s][1] >= timing[r][0]:
             problems.append(
                 f"message {s} -> {r} is not causally timed "
                 f"(sender ends at {timing[s][1]}, receiver starts at {timing[r][0]})"

@@ -127,6 +127,13 @@ def test_unknown_message_endpoint_rejected():
         happened_before(Trace((site_x, site_y), (ghost,)))
 
 
+def test_intra_site_message_rejected():
+    # a hand-built Trace is checked on construction, before happened_before
+    site_x = Site("x", ("a", "b"))
+    with pytest.raises(ValueError, match="^intra-site message a -> b$"):
+        happened_before(Trace((site_x, Site("y", ("c",))), (Message("a", "b"),)))
+
+
 def test_mask_round_trip(fig7):
     cs = happened_before(fig7)
     mask = cs.mask_of(["q3", "p1"])

@@ -4,7 +4,7 @@ import hypothesis
 import hypothesis.strategies as st
 import pytest
 
-from orthochron import UntimedTraceError, parse_trace, time_points
+from orthochron import UntimedTraceError, happened_before, parse_trace, time_points, validate
 from orthochron.trace_model import Trace
 
 from conftest import random_trace, rational_traces
@@ -83,14 +83,14 @@ def test_non_positive_duration_is_a_value_error(fig2, span):
 
 
 def test_missing_time_entry_is_a_value_error(fig2):
-    # only a directly built Trace can lack an entry; the CLI loader rejects it
+    # a Trace with partial timing cannot be built, so time_points never sees one
     timing = {name: span for name, span in fig2.timing.items() if name != "p1"}
-    with pytest.raises(ValueError, match="^process p1 has no time entry$"):
-        time_points(Trace(fig2.sites, fig2.messages, timing))
+    with pytest.raises(ValueError, match="^partial timing: no entry for 'p1'$"):
+        Trace(fig2.sites, fig2.messages, timing)
 
 
 def test_unknown_process_interval(fig2):
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="^unknown process 'nope'$"):
         time_points(fig2).interval("nope")
 
 
@@ -151,3 +151,24 @@ def test_intervals_are_contiguous_runs(seed):
         indices = sorted(timeline.interval(name))
         assert indices
         assert indices == list(range(indices[0], indices[-1] + 1))
+
+
+def _check_points_are_antichains(trace):
+    # causally related processes are disjoint in time, so no time point
+    # holds two of them
+    cs = happened_before(trace)
+    for point in time_points(trace).points:
+        members = cs.mask_of(point)
+        for name in point:
+            assert cs.causality_masks[cs.ordinal(name)] & members == 0
+
+
+@hypothesis.given(st.integers(min_value=1, max_value=10**9))
+def test_time_points_are_causal_antichains(seed):
+    _check_points_are_antichains(random_trace(seed, seed % 3 + 2, seed % 4 + 2, seed % 7))
+
+
+@hypothesis.given(rational_traces(tiled=True))
+def test_rational_time_points_are_causal_antichains(trace):
+    hypothesis.assume(validate(trace) == [])
+    _check_points_are_antichains(trace)

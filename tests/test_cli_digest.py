@@ -1,0 +1,24 @@
+"""Every request of ``tests/cli_digest.py``, pinned: a change to any exit code
+or to any byte a command prints changes this digest of the whole output."""
+
+import hashlib
+import sys
+
+import pytest
+
+import cli_digest
+
+DIGEST = "db71b057d39ac4eea72f11125220c98f2d31ed3199afa872b34c6f2315313737"
+LINES = 5736
+
+
+# argparse wraps --help to the terminal width, read from COLUMNS, and its
+# layout differs between Python minor versions
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="--help layout is pinned for Python 3.11")
+def test_cli_digest_is_unchanged(capsys, monkeypatch, tmp_path):
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.chdir(tmp_path)
+    assert cli_digest.main_digest() == 0
+    out = capsys.readouterr().out
+    assert out.count("\n") == LINES
+    assert hashlib.sha256(out.encode()).hexdigest() == DIGEST

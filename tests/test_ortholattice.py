@@ -28,7 +28,15 @@ from orthochron.ortholattice import (
 
 from conftest import load_fixture, random_trace
 from fig7_family import DOCUMENTED, EXTRA, FULL
-from oracles import REFERENCE_SCANS, brute_closed_family, brute_covers, brute_ortho, canonical_key
+from oracles import (
+    REFERENCE_SCANS,
+    barrier_lattice,
+    barrier_trace,
+    brute_closed_family,
+    brute_covers,
+    brute_ortho,
+    canonical_key,
+)
 
 MO2_ELEMENTS = (
     frozenset(),
@@ -269,6 +277,21 @@ def test_hasse_edges_match_brute_covers(kind, seed):
         for a, b in brute_covers(brute_closed_family(cs))
     ]
     assert lattice.hasse_edges() == sorted(expected)
+
+
+@pytest.mark.parametrize("n_sites, rounds", [(40, 8), (100, 6)])
+def test_barrier_rounds_give_the_boolean_algebra_of_rounds(n_sites, rounds):
+    """320 and 600 processes, far past the brute-force oracles: the closed
+    sets, the covers and every law verdict match the closed form."""
+    lattice = enumerate_closed(happened_before(barrier_trace(n_sites, rounds)))
+    family, covers = barrier_lattice(n_sites, rounds)
+    elements = lattice.elements
+    assert len(elements) == 2**rounds and set(elements) == family
+    edges = lattice.hasse_edges()
+    assert len(edges) == rounds * 2 ** (rounds - 1)
+    assert {(elements[a], elements[b]) for a, b in edges} == covers
+    for law in LAWS:
+        assert lattice.check_laws(law).holds, law
 
 
 def _bits(mask):

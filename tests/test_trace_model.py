@@ -230,40 +230,40 @@ def test_validate_reports_causal_cycle():
     assert report[0].startswith("causal cycle: ")
 
 
-def test_validate_reports_duplicate_process_names():
-    site_a = Site("x", ("a",))
-    site_b = Site("y", ("a",))
-    report = validate(Trace((site_a, site_b)))
-    assert "duplicate process name a" in report
+_X, _Y = Site("x", ("a", "b")), Site("y", ("c",))
+_ONE = (Fraction(0), Fraction(1))
 
 
-def _structural_traces():
-    """Traces built directly, each with exactly one structural fault."""
-    x, y = Site("x", ("a", "b")), Site("y", ("c",))
-    return {
-        "duplicate site name x": Trace((x, Site("x", ("c",)))),
-        "site y has no processes": Trace((x, Site("y", ()))),
-        "invalid process name '1a'": Trace((Site("x", ("1a",)),)),
-        "duplicate process name a": Trace((x, Site("y", ("a",)))),
-        "message endpoint ghost is not a process of this trace": Trace(
-            (x, y), (Message("a", "ghost"),)
+@pytest.mark.parametrize(
+    "error, args",
+    [
+        pytest.param("duplicate site name 'x'", ((_X, Site("x", ("c",))),), id="duplicate-site"),
+        pytest.param("site 'y' has no processes", ((_X, Site("y", ())),), id="empty-site"),
+        pytest.param("invalid process name '1a'", ((Site("x", ("1a",)),),), id="invalid-name"),
+        # every token of the joined names is valid, but one name holds the separator
+        pytest.param("invalid process name 'a b'", ((Site("x", ("a b", "c")),),), id="name-with-space"),
+        pytest.param("duplicate process name 'a'", ((_X, Site("y", ("a",))),), id="duplicate-process"),
+        pytest.param(
+            "message endpoint ghost is not a process of this trace",
+            ((_X, _Y), (Message("a", "ghost"),)),
+            id="unknown-endpoint",
         ),
-        "intra-site message a -> b": Trace((x, y), (Message("a", "b"), Message("a", "c"))),
-        "time entry for unknown process ghost": Trace(
-            (Site("x", ("a",)),), (), {"a": (Fraction(0), Fraction(1)), "ghost": (Fraction(1), Fraction(2))}
+        pytest.param(
+            "intra-site message a -> b", ((_X, _Y), (Message("a", "b"), Message("a", "c"))), id="intra-site"
         ),
-    }
-
-
-@pytest.mark.parametrize("entry", list(_structural_traces()))
-def test_validate_reports_structural_entries(entry):
-    assert validate(_structural_traces()[entry]) == [entry]
-
-
-def test_validate_reports_partial_timing():
-    site = Site("x", ("a", "b"))
-    trace = Trace((site,), (), {"a": (Fraction(0), Fraction(1))})
-    assert "partial timing: no entry for b" in validate(trace)
+        pytest.param("partial timing: no entry for 'b'", ((_X,), (), {"a": _ONE}), id="partial-timing"),
+        pytest.param(
+            "time entry for unknown process 'ghost'",
+            ((Site("x", ("a",)),), (), {"a": _ONE, "ghost": _ONE}),
+            id="unknown-time-entry",
+        ),
+    ],
+)
+def test_construction_rejects_structural_fault(error, args):
+    """Each Trace built here has exactly one structural fault."""
+    with pytest.raises(ValueError) as excinfo:
+        Trace(*args)
+    assert str(excinfo.value) == error
 
 
 def test_gen_random_single_site():
