@@ -230,40 +230,67 @@ def test_validate_reports_causal_cycle():
     assert report[0].startswith("causal cycle: ")
 
 
+def test_validate_reports_duplicate_process_names():
+    """validate never sees this fault: building the Trace raises it."""
+    site_a = Site("x", ("a",))
+    site_b = Site("y", ("a",))
+    with pytest.raises(ValueError) as excinfo:
+        Trace((site_a, site_b))
+    assert str(excinfo.value) == "duplicate process name 'a'"
+
+
 _X, _Y = Site("x", ("a", "b")), Site("y", ("c",))
 _ONE = (Fraction(0), Fraction(1))
 
 
 @pytest.mark.parametrize(
-    "error, args",
+    "change, error",
     [
-        pytest.param("duplicate site name 'x'", ((_X, Site("x", ("c",))),), id="duplicate-site"),
-        pytest.param("site 'y' has no processes", ((_X, Site("y", ())),), id="empty-site"),
-        pytest.param("invalid process name '1a'", ((Site("x", ("1a",)),),), id="invalid-name"),
+        pytest.param({"sites": (_X, Site("x", ("c",)))}, "duplicate site name 'x'", id="duplicate site name x"),
+        pytest.param({"sites": (_X, Site("y", ()))}, "site 'y' has no processes", id="site y has no processes"),
+        pytest.param({"sites": (Site("x", ("1a",)), _Y)}, "invalid process name '1a'", id="invalid process name '1a'"),
         # every token of the joined names is valid, but one name holds the separator
-        pytest.param("invalid process name 'a b'", ((Site("x", ("a b", "c")),),), id="name-with-space"),
-        pytest.param("duplicate process name 'a'", ((_X, Site("y", ("a",))),), id="duplicate-process"),
         pytest.param(
+            {"sites": (Site("x", ("a b", "c")), Site("y", ("d",)))},
+            "invalid process name 'a b'",
+            id="invalid process name 'a b'",
+        ),
+        pytest.param({"sites": (_X, Site("y", ("a",)))}, "duplicate process name 'a'", id="duplicate process name a"),
+        pytest.param(
+            {"messages": (Message("a", "ghost"),)},
             "message endpoint ghost is not a process of this trace",
-            ((_X, _Y), (Message("a", "ghost"),)),
-            id="unknown-endpoint",
+            id="message endpoint ghost is not a process of this trace",
         ),
         pytest.param(
-            "intra-site message a -> b", ((_X, _Y), (Message("a", "b"), Message("a", "c"))), id="intra-site"
+            {"messages": (Message("a", "b"), Message("a", "c"))},
+            "intra-site message a -> b",
+            id="intra-site message a -> b",
         ),
-        pytest.param("partial timing: no entry for 'b'", ((_X,), (), {"a": _ONE}), id="partial-timing"),
         pytest.param(
+            {"timing": {"a": _ONE, "b": _ONE, "c": _ONE, "ghost": _ONE}},
             "time entry for unknown process 'ghost'",
-            ((Site("x", ("a",)),), (), {"a": _ONE, "ghost": _ONE}),
-            id="unknown-time-entry",
+            id="time entry for unknown process ghost",
         ),
     ],
 )
-def test_construction_rejects_structural_fault(error, args):
-    """Each Trace built here has exactly one structural fault."""
+def test_validate_reports_structural_entries(change, error):
+    """Each change puts exactly one structural fault into a valid Trace.
+
+    validate no longer reports these: the Trace refuses them when it is
+    built, and dataclasses.replace builds it again, so a valid Trace cannot
+    be edited into a faulty one either."""
+    valid = Trace((_X, _Y))
     with pytest.raises(ValueError) as excinfo:
-        Trace(*args)
+        dataclasses.replace(valid, **change)
     assert str(excinfo.value) == error
+
+
+def test_validate_reports_partial_timing():
+    """validate never sees this fault: building the Trace raises it."""
+    site = Site("x", ("a", "b"))
+    with pytest.raises(ValueError) as excinfo:
+        Trace((site,), (), {"a": _ONE})
+    assert str(excinfo.value) == "partial timing: no entry for 'b'"
 
 
 def test_gen_random_single_site():
