@@ -6,10 +6,13 @@ neighborhoods of its members (the empty intersection being the full process
 set).  Every orthocomplement is itself closed, so the closed sets are
 exactly the intersection closure of the neighborhoods together with the
 full set: the Moore family generated by the P neighborhoods, enumerated by
-intersecting the family with one generator at a time.  The generators give
-the Hasse covers too: the lower covers of a closed y are the maximal sets
-y & N_p other than y, for a closed z strictly below y is the meet of the N_q,
-q in ortho(z); one misses y, so z lies in y & N_q, closed and below y.
+intersecting the whole family with one distinct generator per pass.  The
+generators give the Hasse covers too: the lower covers of a closed y are the
+maximal sets y & N_p other than y, for a closed z strictly below y is the meet
+of the N_q, q in ortho(z); one misses y, so z lies in y & N_q, closed and below
+y.  Visited largest first, a candidate is maximal iff it lies inside no cover
+kept so far: a larger candidate was visited earlier and lies inside a kept
+cover, and two distinct sets of equal size never contain one another.
 
 Meet is set intersection; join is the orthocomplement of the meet of the
 orthocomplements, equivalently the least closed superset of the union.
@@ -66,15 +69,23 @@ def is_closed(cs: CausalStructure, members: Iterable[str]) -> bool:
     return ortho_mask(cs, ortho_mask(cs, mask)) == mask
 
 
+# each byte value with its eight bits in reverse order
+_REVERSED = bytes([int(f"{b:08b}"[::-1], 2) for b in range(256)])
+
+
 def _canonical_order(family: Iterable[int], width: int) -> tuple[int, ...]:
     """Masks of ``width`` bits by cardinality, then lexicographically by sorted
     member ordinals, under one int key: the cardinality above the complement of
-    the bit-reversed mask.  Of two equal-size masks the lexicographically first
-    holds their lowest differing bit, which reversal makes the highest."""
-    full = (1 << width) - 1
+    the bit-reversed mask, reversed bytewise over whole bytes.  Of two equal-size
+    masks the lexicographically first holds their lowest differing bit, which
+    reversal makes the highest."""
+    nbytes = (width + 7) // 8
+    bits = 8 * nbytes
+    full = (1 << bits) - 1
 
     def key(m: int) -> int:
-        return m.bit_count() << width | full ^ int(bin(m)[:1:-1].ljust(width, "0"), 2)
+        reversed_m = int.from_bytes(m.to_bytes(nbytes, "little").translate(_REVERSED), "big")
+        return m.bit_count() << bits | full ^ reversed_m
 
     return tuple(sorted(family, key=key))
 
@@ -83,21 +94,24 @@ def enumerate_closed(cs: CausalStructure, cap: int = DEFAULT_CAP) -> OrthoLattic
     """Enumerate every closed set as a Moore family.
 
     Seeds the family with the full set and all neighborhoods, then, for each
-    neighborhood in turn, adds its intersection with every member so far;
-    after the last one the family is closed under intersection.  Raises
-    CapExceededError as soon as the family exceeds ``cap`` elements.
+    distinct neighborhood in turn, adds its intersection with every member so
+    far in one pass; after the last one the family is closed under
+    intersection.  Raises CapExceededError if the seeds exceed ``cap``, or
+    after the first pass that leaves more than ``cap`` elements.  Added one at
+    a time, that family would first have exceeded the cap at ``cap + 1``
+    elements, the count reported; a pass may hold up to ``cap`` extra sets
+    before its check.
     """
     if cap <= 0:
         raise ValueError("cap must be positive")
-    family = {cs.full_mask}
-    family.update(cs.causality_masks)
+    generators = dict.fromkeys(cs.causality_masks)
+    family = {cs.full_mask, *generators}
     if len(family) > cap:
         raise CapExceededError(cap, len(family))
-    for generator in cs.causality_masks:
-        for member in list(family):
-            family.add(member & generator)
-            if len(family) > cap:
-                raise CapExceededError(cap, len(family))
+    for generator in generators:
+        family |= {member & generator for member in family}
+        if len(family) > cap:
+            raise CapExceededError(cap, cap + 1)
     return OrthoLattice(cs, _canonical_order(family, cs.size))
 
 
@@ -196,14 +210,25 @@ class OrthoLattice:
 
     def hasse_edges(self) -> list[tuple[int, int]]:
         """Cover pairs (lower index, upper index), ascending: the lower covers of
-        y are the maximal y & N_p != y, since any closed set strictly below y is in one."""
+        y are the maximal y & N_p != y, since any closed set strictly below y is
+        in one.  Visited largest first, a candidate is maximal iff it lies inside
+        no lower cover of y found before it."""
+        generators = dict.fromkeys(self.structure.causality_masks)
+        position = self._position
         edges = []
         for b, y in enumerate(self.masks):
-            below = {y & g for g in self.structure.causality_masks} - {y}
-            for z in below:
-                if not any(z & w == z and z != w for w in below):
-                    edges.append((self._position[z], b))
-        return sorted(edges)
+            below = {y & g for g in generators}
+            below.discard(y)
+            covers = []
+            for z in sorted(below, key=int.bit_count, reverse=True):
+                for w in covers:
+                    if z & w == z:
+                        break
+                else:
+                    covers.append(z)
+                    edges.append((position[z], b))
+        edges.sort()
+        return edges
 
     def _fmt(self, index: int) -> str:
         return format_members(self.structure.sorted_names_of(self.masks[index]))
@@ -214,9 +239,10 @@ class OrthoLattice:
         full, every m & N_p is an element (so every ortho_mask is one), and the
         complement is an involution (so every element is closed)."""
         cs, pos = self.structure, self._position
+        generators = dict.fromkeys(cs.causality_masks)
         return (
             self.masks[-1] == cs.full_mask
-            and all((m & g) in pos for m in self.masks for g in cs.causality_masks)
+            and pos.keys() >= {m & g for m in self.masks for g in generators}
             and all(self.complement[c] == i for i, c in enumerate(self.complement))
         )
 

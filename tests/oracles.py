@@ -16,7 +16,8 @@ after it compare the Fractions themselves, the reference for
 ``timing_problems``, which compares integer ticks.  The formula parser
 scans characters itself and shares no code with ``orthochron``'s parser.
 ``barrier_trace`` builds traces far past the brute-force limit whose closed
-sets ``barrier_lattice`` gives in closed form.
+sets ``barrier_lattice`` gives in closed form; ``twins_trace`` builds traces
+in which many processes share one causality neighbourhood.
 """
 
 import itertools
@@ -646,3 +647,15 @@ def timing_problems(trace: Trace) -> list[str]:
                 f"(sender ends at {timing[s][1]}, receiver starts at {timing[r][0]})"
             )
     return problems
+
+
+def twins_trace(k, m):
+    """An untimed trace of one site ``t`` running ``t1`` .. ``t<k>`` and ``m``
+    one-process sites ``u1`` .. ``u<m>``, each receiving from ``t<k>``.  The
+    ``u`` processes are twins: each is related to exactly the ``t`` processes,
+    so they share one causality neighbourhood."""
+    sites = (Site("t", tuple(f"t{i}" for i in range(1, k + 1))),) + tuple(
+        Site(f"u{j}", (f"u{j}",)) for j in range(1, m + 1)
+    )
+    messages = tuple(Message(f"t{k}", f"u{j}") for j in range(1, m + 1))
+    return Trace(sites, messages)

@@ -229,26 +229,50 @@ def test_eval_ortho_is_monotone_across_connectives(fig7, left, right):
     assert conjunction <= value <= disjunction
 
 
+def _set_algebra(node, atom, everyone):
+    """The reference tree's value with ~, & and | as complement in
+    ``everyone``, intersection and union, and each name as ``atom(name)``."""
+    if node == "0":
+        return frozenset()
+    if node == "1":
+        return everyone
+    if isinstance(node, str):
+        return atom(node)
+    if node[0] == "~":
+        return everyone - _set_algebra(node[1], atom, everyone)
+    left, right = (_set_algebra(child, atom, everyone) for child in node[1:])
+    return left & right if node[0] == "&" else left | right
+
+
 @hypothesis.given(formulas(["a", "b", "c"]))
 def test_single_site_degenerates_to_boolean_sets(formula):
     trace = parse_trace("site s : a b c\n")
     cs = happened_before(trace)
     everyone = frozenset(trace.processes)
+    expected = _set_algebra(oracles.parse_formula(formula), lambda name: frozenset({name}), everyone)
+    assert eval_ortho(parse_formula(formula), cs) == expected
 
-    def naive(node):
-        if node == "0":
-            return frozenset()
-        if node == "1":
-            return everyone
-        if isinstance(node, str):
-            return frozenset({node})
-        if node[0] == "~":
-            return everyone - naive(node[1])
-        if node[0] == "&":
-            return naive(node[1]) & naive(node[2])
-        return naive(node[1]) | naive(node[2])
 
-    assert eval_ortho(parse_formula(formula), cs) == naive(oracles.parse_formula(formula))
+BARRIER = oracles.barrier_trace(40, 8)
+
+
+@pytest.fixture(scope="module")
+def barrier_rounds():
+    """The causal structure of BARRIER and each process's round, the atoms
+    of the closed form."""
+    family, _ = oracles.barrier_lattice(40, 8)
+    return happened_before(BARRIER), {name: r for r in family if len(r) == 40 for name in r}
+
+
+@hypothesis.given(formulas(BARRIER.processes))
+def test_eval_ortho_is_set_algebra_over_barrier_rounds(barrier_rounds, formula):
+    """On 320 processes, past the brute-force oracles: a process denotes its
+    round, ~ the other rounds, & and | intersection and union of rounds."""
+    cs, round_of = barrier_rounds
+    everyone = frozenset(cs.names)
+    assert round_of.keys() == everyone
+    expected = _set_algebra(oracles.parse_formula(formula), round_of.__getitem__, everyone)
+    assert eval_ortho(parse_formula(formula), cs) == expected
 
 
 def test_compare_laws_boolean_distributivity(fig2):

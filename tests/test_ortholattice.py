@@ -36,6 +36,7 @@ from oracles import (
     brute_covers,
     brute_ortho,
     canonical_key,
+    twins_trace,
 )
 
 MO2_ELEMENTS = (
@@ -151,7 +152,8 @@ def test_canonical_element_order(fig7_lattice):
     assert keys == sorted(keys)
 
 
-@pytest.mark.parametrize("width", range(1, 41))
+# the key pads each mask to whole bytes, so cross byte boundaries too
+@pytest.mark.parametrize("width", [*range(1, 41), 63, 64, 65, 127, 128, 129, 560])
 def test_int_key_sorts_as_the_ordinal_key(width):
     rng = random.Random(width)
     full = (1 << width) - 1
@@ -279,10 +281,10 @@ def test_hasse_edges_match_brute_covers(kind, seed):
     assert lattice.hasse_edges() == sorted(expected)
 
 
-@pytest.mark.parametrize("n_sites, rounds", [(40, 8), (100, 6)])
+@pytest.mark.parametrize("n_sites, rounds", [(40, 8), (100, 6), (200, 10)])
 def test_barrier_rounds_give_the_boolean_algebra_of_rounds(n_sites, rounds):
-    """320 and 600 processes, far past the brute-force oracles: the closed
-    sets, the covers and every law verdict match the closed form."""
+    """320, 600 and 2,000 processes, far past the brute-force oracles: the
+    closed sets, the covers and every law verdict match the closed form."""
     lattice = enumerate_closed(happened_before(barrier_trace(n_sites, rounds)))
     family, covers = barrier_lattice(n_sites, rounds)
     elements = lattice.elements
@@ -292,6 +294,19 @@ def test_barrier_rounds_give_the_boolean_algebra_of_rounds(n_sites, rounds):
     assert {(elements[a], elements[b]) for a, b in edges} == covers
     for law in LAWS:
         assert lattice.check_laws(law).holds, law
+
+
+@hypothesis.settings(max_examples=30, deadline=None)
+@hypothesis.given(st.integers(1, 6), st.integers(0, 8))
+def test_twins_match_brute_force(k, m):
+    """Up to 14 processes, of which the m one-process sites are twins: the
+    family and the covers equal the oracles'."""
+    cs = happened_before(twins_trace(k, m))
+    lattice = enumerate_closed(cs)
+    family = brute_closed_family(cs)
+    assert lattice.masks == tuple(sorted(map(cs.mask_of, family), key=canonical_key))
+    expected = [(lattice.index_of(a), lattice.index_of(b)) for a, b in brute_covers(family)]
+    assert lattice.hasse_edges() == sorted(expected)
 
 
 def _bits(mask):
@@ -467,6 +482,26 @@ def test_cap_guard(fig2):
     with pytest.raises(CapExceededError) as excinfo:
         enumerate_closed(cs, cap=len(lattice) - 1)
     assert excinfo.value.count == len(lattice)
+
+
+@pytest.mark.parametrize(
+    "trace",
+    [load_fixture("fig2.trace"), *(random_trace(seed, 3, 3, seed) for seed in range(1, 5))],
+    ids=["fig2", *(f"random{seed}" for seed in range(1, 5))],
+)
+def test_cap_boundary_of_each_pass(trace):
+    """Every cap: the count is the seed family's size when the seeds exceed
+    the cap, else cap + 1, as if sets were added one at a time; at the
+    family's size nothing is cut."""
+    cs = happened_before(trace)
+    masks = enumerate_closed(cs).masks
+    n = len(masks)
+    seeds = len({cs.full_mask, *cs.causality_masks})
+    for cap in range(1, n):
+        with pytest.raises(CapExceededError) as excinfo:
+            enumerate_closed(cs, cap=cap)
+        assert excinfo.value.count == (seeds if cap < seeds else cap + 1), cap
+    assert enumerate_closed(cs, cap=n).masks == masks
 
 
 def test_enumeration_matches_brute_force_on_fixtures(fig2, fig5, mo2, single_site):
