@@ -13,11 +13,12 @@ import functools
 import json
 import sys
 from array import array
+from itertools import compress
 from pathlib import Path
 from typing import IO, Iterable
 
 from . import __version__
-from .causal_core import CausalStructure, happened_before
+from .causal_core import CausalStructure, _selectors, happened_before
 from .chronology import time_points
 from .logic_eval import compare_laws, eval_boolean, eval_ortho, parse_formula
 from .ortholattice import DEFAULT_CAP, LAWS, _canonical_order, enumerate_closed, format_members
@@ -146,15 +147,21 @@ def _cmd_hb(args: argparse.Namespace, out: IO[str]) -> int:
     cs = happened_before(_load_trace(args))
     names = cs.names
     if args.format == "json":
-        payload = {
-            "happened_before": {
-                a: cs.sorted_names_of(cs.before_masks[i]) for i, a in enumerate(names)
-            },
-            "causality": {
-                a: cs.sorted_names_of(cs.causality_masks[i]) for i, a in enumerate(names)
-            },
-        }
-        print(json.dumps(payload), file=out)
+        # json.dumps of the payload, written row by row: each name is quoted
+        # once and a row joins the quoted names its mask selects
+        quoted = [json.dumps(name) for name in names]
+
+        def rows(masks: tuple[int, ...]) -> str:
+            return ", ".join(
+                f"{a}: [{', '.join(compress(quoted, _selectors(mask)))}]"
+                for a, mask in zip(quoted, masks)
+            )
+
+        out.write('{"happened_before": {')
+        out.write(rows(cs.before_masks))
+        out.write('}, "causality": {')
+        out.write(rows(cs.causality_masks))
+        out.write("}}\n")
     else:
         for line in _matrix_lines("happened-before", names, cs.before_masks):
             print(line, file=out)

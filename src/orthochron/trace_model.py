@@ -39,6 +39,7 @@ _NUMBER = r"[+-]?\d+(?:\.\d+)?"
 _KEYWORD = "'site', 'msg' or 'time'"
 
 NAME_PATTERN = re.compile(_NAME + r"\Z")
+_NUMBER_PATTERN = re.compile(_NUMBER + r"\Z")
 _NAMES = re.compile(rf"{_NAME}(?: {_NAME})*\Z")
 
 _TOKEN = re.compile(rf"(?P<number>{_NUMBER})|(?P<name>{_NAME})|(?P<punct>->|\.\.|[:=])")
@@ -225,10 +226,15 @@ def parse_trace(text: str) -> Trace:
     message, and without a position for an empty trace or partial timing,
     which the ``Trace`` constructor finds.
 
-    Each line is matched whole by ``_LINE``; only a line it rejects goes
-    through the tokenizer, which words the error.  Both feed the same checks,
-    in the order the tokens are read, and a check names a token by its index
-    in the line, so that its column is found only when it fails."""
+    A line in the canonical form ``serialize_trace`` writes, split on single
+    spaces with no other blank, is taken as it stands when it passes every
+    check: ``msg A -> B`` with A and B declared on different sites, or
+    ``time P = S .. E`` with P declared and not yet timed and S and E number
+    literals.  Every other line, and every line with a fault, is matched
+    whole by ``_LINE``; only a line it rejects goes through the tokenizer,
+    which words the error.  Both feed the same checks, in the order the
+    tokens are read, and a check names a token by its index in the line, so
+    that its column is found only when it fails."""
     sites: list[Site] = []
     site_names: set[str] = set()
     site_of: dict[str, int] = {}
@@ -238,6 +244,24 @@ def parse_trace(text: str) -> Trace:
     past_sites = False
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
+        words = raw.split(" ")
+        if len(words) == 4 and words[0] == "msg" and words[2] == "->":
+            sender, receiver = words[1], words[3]
+            if sender in site_of and receiver in site_of and site_of[sender] != site_of[receiver]:
+                past_sites = True
+                messages.append(Message(sender, receiver))
+                continue
+        elif len(words) == 6 and words[0] == "time" and words[2] == "=" and words[4] == "..":
+            process, start, end = words[1], words[3], words[5]
+            if (
+                process in site_of
+                and process not in timing
+                and (start in numbers or _NUMBER_PATTERN.match(start))
+                and (end in numbers or _NUMBER_PATTERN.match(end))
+            ):
+                past_sites = True
+                timing[process] = (numbers[start], numbers[end])
+                continue
         match = _LINE.match(raw)
         if match is not None:
             keyword, fields, syntax = match.lastgroup, match.groups(), None

@@ -469,25 +469,30 @@ def barrier_trace(n_sites, rounds):
     return Trace(sites, messages)
 
 
-def barrier_lattice(n_sites, rounds):
-    """The closed sets and cover pairs of ``barrier_trace`` with at least two
-    sites, as name sets, from the closed form.  A process is concurrent with
-    exactly the other processes of its round and related to every other
-    process, so its neighbourhood is the complement of its round.  The closed
-    sets are then the 2^rounds unions of rounds, a Boolean algebra, and its
-    covers add one round to a union that lacks it."""
-    round_sets = [frozenset(f"s{i}r{r}" for i in range(n_sites)) for r in range(rounds)]
+def block_lattice(blocks):
+    """The closed sets and cover pairs, as name sets, of a trace whose
+    processes are each concurrent with exactly the other processes of their
+    block and related to every process outside it, so that a neighbourhood
+    is the complement of a block.  The closed sets are then the 2^len(blocks)
+    unions of blocks, a Boolean algebra, and its covers add one block to a
+    union that lacks it."""
     unions = {
-        chosen: frozenset().union(*(round_sets[r] for r in range(rounds) if chosen >> r & 1))
-        for chosen in range(1 << rounds)
+        chosen: frozenset().union(*(block for b, block in enumerate(blocks) if chosen >> b & 1))
+        for chosen in range(1 << len(blocks))
     }
     covers = {
-        (unions[chosen], unions[chosen | 1 << r])
+        (unions[chosen], unions[chosen | 1 << b])
         for chosen in unions
-        for r in range(rounds)
-        if not chosen >> r & 1
+        for b in range(len(blocks))
+        if not chosen >> b & 1
     }
     return set(unions.values()), covers
+
+
+def barrier_lattice(n_sites, rounds):
+    """``block_lattice`` of ``barrier_trace`` with at least two sites: the
+    blocks are the rounds."""
+    return block_lattice([frozenset(f"s{i}r{r}" for i in range(n_sites)) for r in range(rounds)])
 
 
 _TOKEN = re.compile(
@@ -659,3 +664,11 @@ def twins_trace(k, m):
     )
     messages = tuple(Message(f"t{k}", f"u{j}") for j in range(1, m + 1))
     return Trace(sites, messages)
+
+
+def twins_lattice(k, m):
+    """``block_lattice`` of ``twins_trace`` with m >= 1: each ``t`` process
+    is related to every other process, and the ``u`` processes only to the
+    ``t`` ones, so the blocks are each ``t<i>`` alone and all the ``u``s."""
+    blocks = [frozenset({f"t{i}"}) for i in range(1, k + 1)]
+    return block_lattice(blocks + [frozenset(f"u{j}" for j in range(1, m + 1))])

@@ -15,6 +15,7 @@ from orthochron import (
     enumerate_closed,
     happened_before,
     parse_trace,
+    serialize_trace,
 )
 from orthochron import cli as cli_module
 from orthochron.cli import _COMMANDS, build_parser, closed_sets_by_definition, main
@@ -233,6 +234,43 @@ def test_hb_json(cli):
     }
     assert payload["causality"]["x2"] == ["x1", "x3"]
     assert payload["causality"]["y2"] == ["x1", "x3", "y1", "y3"]
+
+
+def _hb_document(names, before):
+    """``hb --format json`` stdout by ``json.dumps``, from a happened-before
+    predicate on names; causality is happened-before either way."""
+    payload = {
+        "happened_before": {a: [b for b in names if before(a, b)] for a in names},
+        "causality": {a: [b for b in names if before(a, b) or before(b, a)] for a in names},
+    }
+    return json.dumps(payload) + "\n"
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [(1, 1, 0), (1, 6, 0), (3, 1, 0), (3, 1, 2), (6, 1, 9), (4, 3, 0), (2, 5, 40), (6, 3, 400)],
+)
+@pytest.mark.parametrize("seed", range(3))
+def test_hb_json_matches_brute_force(cli, tmp_path, shape, seed):
+    """Seeded traces of 1-6 sites, one-process sites among them, with no
+    messages and with as many as fit."""
+    trace = random_trace(seed, *shape)
+    path = tmp_path / "random.trace"
+    path.write_text(serialize_trace(trace))
+    before = oracles.brute_happened_before(trace)
+    expected = _hb_document(trace.processes, lambda a, b: (a, b) in before)
+    assert cli("hb", str(path), "--format", "json") == (0, expected, "")
+
+
+def test_hb_json_of_barrier_rounds(cli, tmp_path):
+    """320 processes: a round-r process happened before every process of a
+    later round, and is causally related to every process outside round r."""
+    trace = oracles.barrier_trace(40, 8)
+    path = tmp_path / "barrier.trace"
+    path.write_text(serialize_trace(trace))
+    round_of = {name: int(name.rpartition("r")[2]) for name in trace.processes}
+    expected = _hb_document(trace.processes, lambda a, b: round_of[a] < round_of[b])
+    assert cli("hb", str(path), "--format", "json") == (0, expected, "")
 
 
 def test_lattice_text(cli):

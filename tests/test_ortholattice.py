@@ -36,6 +36,7 @@ from oracles import (
     brute_covers,
     brute_ortho,
     canonical_key,
+    twins_lattice,
     twins_trace,
 )
 
@@ -281,19 +282,25 @@ def test_hasse_edges_match_brute_covers(kind, seed):
     assert lattice.hasse_edges() == sorted(expected)
 
 
+def _assert_boolean_of_blocks(trace, blocks, closed_form):
+    """The closed sets and the covers equal ``closed_form``, the
+    ``block_lattice`` of ``blocks`` blocks, and every law holds."""
+    lattice = enumerate_closed(happened_before(trace))
+    family, covers = closed_form
+    elements = lattice.elements
+    assert len(elements) == 2**blocks and set(elements) == family
+    edges = lattice.hasse_edges()
+    assert len(edges) == blocks * 2 ** (blocks - 1)
+    assert {(elements[a], elements[b]) for a, b in edges} == covers
+    for law in LAWS:
+        assert lattice.check_laws(law).holds, law
+
+
 @pytest.mark.parametrize("n_sites, rounds", [(40, 8), (100, 6), (200, 10)])
 def test_barrier_rounds_give_the_boolean_algebra_of_rounds(n_sites, rounds):
     """320, 600 and 2,000 processes, far past the brute-force oracles: the
     closed sets, the covers and every law verdict match the closed form."""
-    lattice = enumerate_closed(happened_before(barrier_trace(n_sites, rounds)))
-    family, covers = barrier_lattice(n_sites, rounds)
-    elements = lattice.elements
-    assert len(elements) == 2**rounds and set(elements) == family
-    edges = lattice.hasse_edges()
-    assert len(edges) == rounds * 2 ** (rounds - 1)
-    assert {(elements[a], elements[b]) for a, b in edges} == covers
-    for law in LAWS:
-        assert lattice.check_laws(law).holds, law
+    _assert_boolean_of_blocks(barrier_trace(n_sites, rounds), rounds, barrier_lattice(n_sites, rounds))
 
 
 @hypothesis.settings(max_examples=30, deadline=None)
@@ -307,6 +314,13 @@ def test_twins_match_brute_force(k, m):
     assert lattice.masks == tuple(sorted(map(cs.mask_of, family), key=canonical_key))
     expected = [(lattice.index_of(a), lattice.index_of(b)) for a, b in brute_covers(family)]
     assert lattice.hasse_edges() == sorted(expected)
+
+
+def test_twins_give_the_boolean_algebra_of_blocks():
+    """510 processes, far past the brute-force oracles, of which 500 are
+    twins: the closed sets are the 2^11 unions of the 11 blocks of
+    "concurrent or equal", the covers add one block, and every law holds."""
+    _assert_boolean_of_blocks(twins_trace(10, 500), 11, twins_lattice(10, 500))
 
 
 def _bits(mask):

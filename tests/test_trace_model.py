@@ -132,17 +132,24 @@ def _outcome(parse, text):
 
 
 _NAMES = st.sampled_from(["a", "b", "c", "x", "site", "p_1"])
-_NUMBERS = st.sampled_from(["0", "1", "-1", "+2", "0.5", "-0.25", "1.50", "\u0663"])
+_NUMBERS = st.sampled_from(["0", "1", "-1", "+2", "0.5", "-0.25", "1.50", "\u0663", "1."])
 _PUNCT = st.sampled_from(["->", "..", ":", "="])
 _STRAY = st.sampled_from(["-", ">", ".", "$", "\u00a0", "#", "# note", "\r", "\x0c", "1.", "..."])
 _GAPS = st.sampled_from(["", " ", " ", " ", "\t", "  \t"])
-_HEADERS = ["", "site x : a b\nsite y : c\n", "site x : a b\nsite y : c\ntime a = 0 .. 1\ntime b = 1 .. 2\n"]
+_HEADERS = [
+    "",
+    "site x : a b\nsite y : c\n",
+    "site x : a b\nsite y : c\nmsg a -> c\n",
+    "site x : a b\nsite y : c\ntime a = 0 .. 1\ntime b = 1 .. 2\n",
+]
 
 
 @st.composite
 def _trace_line(draw):
     """A directive's tokens, or random ones, with at most one token inserted,
-    dropped or replaced, joined by random runs of spaces and tabs, some empty."""
+    dropped or replaced.  About half the lines join them with single spaces,
+    the form ``serialize_trace`` writes; the rest put random runs of spaces
+    and tabs, some empty, before and after every token."""
     shape = draw(st.sampled_from(["site", "msg", "msg", "time", "time", "time", "junk"]))
     if shape == "site":
         tokens = ["site", draw(_NAMES), ":", *draw(st.lists(_NAMES, max_size=3))]
@@ -156,6 +163,8 @@ def _trace_line(draw):
         at = draw(st.integers(0, len(tokens)))
         edit = st.one_of(_STRAY, _NAMES, _NUMBERS, _PUNCT)
         tokens[at : at + draw(st.integers(0, 1))] = draw(st.lists(edit, max_size=1))
+    if draw(st.booleans()):
+        return " ".join(tokens)
     return draw(_GAPS) + "".join(token + draw(_GAPS) for token in tokens)
 
 
