@@ -44,20 +44,6 @@ _NAMES = re.compile(rf"{_NAME}(?: {_NAME})*\Z")
 
 _TOKEN = re.compile(rf"(?P<number>{_NUMBER})|(?P<name>{_NAME})|(?P<punct>->|\.\.|[:=])")
 
-# A whole line: at most one directive, then an optional comment.  Spaces and
-# tabs separate tokens; only a keyword or name followed by a name needs one.
-# Each directive's group encloses its fields, so ``lastgroup`` is its keyword.
-# No two runs of blanks meet, so a rejected line fails in linear time.
-_LINE = re.compile(
-    r"[ \t]*(?:(?:"
-    rf"(?P<site>site[ \t]+(?P<site_name>{_NAME})[ \t]*:"
-    rf"(?P<procs>(?:[ \t]*{_NAME}(?:[ \t]+{_NAME})*)?))"
-    rf"|(?P<msg>msg[ \t]+(?P<sender>{_NAME})[ \t]*->[ \t]*(?P<receiver>{_NAME}))"
-    rf"|(?P<time>time[ \t]+(?P<process>{_NAME})[ \t]*=[ \t]*(?P<start>{_NUMBER})"
-    rf"[ \t]*\.\.[ \t]*(?P<end>{_NUMBER}))"
-    r")[ \t]*)?(?:#.*)?\Z"
-)
-
 
 class TraceParseError(ValueError):
     """A trace document could not be parsed; carries the offending position."""
@@ -211,6 +197,13 @@ class _LineReader:
         self._fail(expected)
         raise AssertionError("unreachable")
 
+    def process(self, expected: str, site_of: dict[str, int]) -> str:
+        """Take a name that must be a declared process."""
+        name, col = self.take("name", expected)
+        if name not in site_of:
+            raise TraceParseError(f"unknown process {name!r}", self.lineno, col)
+        return name
+
     def done(self) -> bool:
         return self.pos >= len(self.tokens)
 
@@ -226,15 +219,15 @@ def parse_trace(text: str) -> Trace:
     message, and without a position for an empty trace or partial timing,
     which the ``Trace`` constructor finds.
 
-    A line in the canonical form ``serialize_trace`` writes, split on single
-    spaces with no other blank, is taken as it stands when it passes every
-    check: ``msg A -> B`` with A and B declared on different sites, or
+    Lines are read two ways.  The split path splits a line on single spaces
+    and takes it as it stands when it is in the canonical form
+    ``serialize_trace`` writes and passes every check: ``site S : A B ...``
+    before any msg or time line, with S and every A a valid new name;
+    ``msg A -> B`` with A and B declared on different sites; or
     ``time P = S .. E`` with P declared and not yet timed and S and E number
-    literals.  Every other line, and every line with a fault, is matched
-    whole by ``_LINE``; only a line it rejects goes through the tokenizer,
-    which words the error.  Both feed the same checks, in the order the
-    tokens are read, and a check names a token by its index in the line, so
-    that its column is found only when it fails."""
+    literals.  Every other line, and every line with a fault, goes to the
+    token reader (``_tokenize`` and ``_LineReader``), where each check runs
+    as its token is read and names that token's column."""
     sites: list[Site] = []
     site_names: set[str] = set()
     site_of: dict[str, int] = {}
@@ -262,51 +255,64 @@ def parse_trace(text: str) -> Trace:
                 past_sites = True
                 timing[process] = (numbers[start], numbers[end])
                 continue
-        match = _LINE.match(raw)
-        if match is not None:
-            keyword, fields, syntax = match.lastgroup, match.groups(), None
-        else:
-            keyword, fields, syntax = _read_prefix(raw, lineno)
-        _, site_name, procs, _, sender, receiver, _, process, start, end = fields
+        elif len(words) > 3 and words[0] == "site" and words[2] == ":" and not past_sites:
+            site_name, names = words[1], words[3:]
+            if (
+                NAME_PATTERN.match(site_name)
+                and site_name not in site_names
+                and _NAMES.match(" ".join(names))
+                and site_of.keys().isdisjoint(names)
+                and len(set(names)) == len(names)
+            ):
+                site_names.add(site_name)
+                site_of.update(dict.fromkeys(names, len(sites)))
+                sites.append(Site(site_name, tuple(names)))
+                continue
+        tokens = _tokenize(raw.split("#", 1)[0], lineno)
+        if not tokens:
+            continue
+        reader = _LineReader(tokens, lineno)
+        keyword, col = reader.take("name", _KEYWORD)
         if keyword == "site":
             if past_sites:
-                raise _error_at(raw, lineno, 0, "site lines must precede msg/time lines")
-            if site_name is not None:
-                if site_name in site_names:
-                    raise _error_at(raw, lineno, 1, f"duplicate site name {site_name!r}")
-                site_names.add(site_name)
-            names = tuple(procs.split()) if procs else ()
-            for position, name in enumerate(names):
+                raise TraceParseError("site lines must precede msg/time lines", lineno, col)
+            site_name, name_col = reader.take("name", "site name")
+            if site_name in site_names:
+                raise TraceParseError(f"duplicate site name {site_name!r}", lineno, name_col)
+            site_names.add(site_name)
+            reader.take("punct", "':'", ":")
+            procs: list[str] = []
+            while not reader.done():
+                name, name_col = reader.take("name", "process name")
                 if name in site_of:
-                    raise _error_at(raw, lineno, 3 + position, f"duplicate process name {name!r}")
+                    raise TraceParseError(f"duplicate process name {name!r}", lineno, name_col)
                 site_of[name] = len(sites)
-            if syntax is not None:
-                raise syntax
-            if not names:
-                raise _error_at(raw, lineno, 0, f"site {site_name!r} has no processes")
-            sites.append(Site(site_name, names))
+                procs.append(name)
+            if not procs:
+                raise TraceParseError(f"site {site_name!r} has no processes", lineno, col)
+            sites.append(Site(site_name, tuple(procs)))
         elif keyword == "msg":
             past_sites = True
-            if sender is not None and sender not in site_of:
-                raise _error_at(raw, lineno, 1, f"unknown process {sender!r}")
-            if receiver is not None and receiver not in site_of:
-                raise _error_at(raw, lineno, 3, f"unknown process {receiver!r}")
-            if syntax is not None:
-                raise syntax
+            sender = reader.process("sender process name", site_of)
+            reader.take("punct", "'->'", "->")
+            receiver = reader.process("receiver process name", site_of)
+            reader.expect_end()
             if site_of[sender] == site_of[receiver]:
-                raise _error_at(raw, lineno, 0, f"intra-site message {sender} -> {receiver}")
+                raise TraceParseError(f"intra-site message {sender} -> {receiver}", lineno, col)
             messages.append(Message(sender, receiver))
         elif keyword == "time":
             past_sites = True
-            if process is not None and process not in site_of:
-                raise _error_at(raw, lineno, 1, f"unknown process {process!r}")
-            if syntax is not None:
-                raise syntax
+            process = reader.process("process process name", site_of)
+            reader.take("punct", "'='", "=")
+            start = reader.take("number", "start time")[0]
+            reader.take("punct", "'..'", "..")
+            end = reader.take("number", "end time")[0]
+            reader.expect_end()
             if process in timing:
-                raise _error_at(raw, lineno, 0, f"duplicate time entry for {process!r}")
+                raise TraceParseError(f"duplicate time entry for {process!r}", lineno, col)
             timing[process] = (numbers[start], numbers[end])
-        elif syntax is not None:
-            raise syntax
+        else:
+            raise TraceParseError(f"expected {_KEYWORD}, found {keyword!r}", lineno, col)
 
     if not sites:
         raise TraceParseError("empty trace: no site lines")
@@ -324,45 +330,6 @@ class _Numbers(dict):
         whole, _, places = literal.partition(".")
         value = self[literal] = Fraction(int(whole + places), 10 ** len(places))
         return value
-
-
-def _read_prefix(raw: str, lineno: int):
-    """Read a line that ``_LINE`` rejects token by token: its keyword, the
-    fields read before its first syntax error, laid out as ``_LINE``'s
-    groups, and that error (None if the whole line reads)."""
-    fields = dict.fromkeys(_LINE.groupindex)
-    keyword = None
-    try:
-        reader = _LineReader(_tokenize(raw.split("#", 1)[0], lineno), lineno)
-        keyword, col = reader.take("name", _KEYWORD)
-        if keyword == "site":
-            fields["site_name"] = reader.take("name", "site name")[0]
-            reader.take("punct", "':'", ":")
-            fields["procs"] = ""
-            while not reader.done():
-                fields["procs"] += " " + reader.take("name", "process name")[0]
-        elif keyword == "msg":
-            fields["sender"] = reader.take("name", "sender process name")[0]
-            reader.take("punct", "'->'", "->")
-            fields["receiver"] = reader.take("name", "receiver process name")[0]
-            reader.expect_end()
-        elif keyword == "time":
-            fields["process"] = reader.take("name", "process process name")[0]
-            reader.take("punct", "'='", "=")
-            fields["start"] = reader.take("number", "start time")[0]
-            reader.take("punct", "'..'", "..")
-            fields["end"] = reader.take("number", "end time")[0]
-            reader.expect_end()
-        else:
-            raise TraceParseError(f"expected {_KEYWORD}, found {keyword!r}", lineno, col)
-    except TraceParseError as exc:
-        return keyword, tuple(fields.values()), exc
-    return keyword, tuple(fields.values()), None
-
-
-def _error_at(raw: str, lineno: int, token: int, message: str) -> TraceParseError:
-    """The error for a line whose token number ``token`` fails a check."""
-    return TraceParseError(message, lineno, _tokenize(raw.split("#", 1)[0], lineno)[token][2])
 
 
 def _format_rational(x: Fraction) -> str:
@@ -433,16 +400,19 @@ def validate(trace: Trace) -> list[str]:
     A ``Trace`` is well formed by construction, so this covers what one can
     still get wrong: non-positive durations, gaps and overlaps within a
     site, untimely messages, and a cycle in the happened-before relation.
+    Only an untimed trace is searched for a cycle: valid timing moves every
+    edge to a strictly later start, since sites tile and each message ends
+    before its receiver starts.
     """
-    problems = timing_problems(trace)
-    if not problems:
-        from .causal_core import CycleError, happened_before
+    if trace.timing is not None:
+        return timing_problems(trace)
+    from .causal_core import CycleError, happened_before
 
-        try:
-            happened_before(trace)
-        except CycleError as exc:
-            problems.append(str(exc))
-    return problems
+    try:
+        happened_before(trace)
+    except CycleError as exc:
+        return [str(exc)]
+    return []
 
 
 def gen_random(seed: int, n_sites: int, procs_per_site: int, n_messages: int) -> Trace:

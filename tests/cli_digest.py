@@ -7,8 +7,9 @@ Run it in two checkouts and diff the two outputs to see every request whose
 exit code or output bytes differ.  The corpus crosses the fixtures, their
 whitespace, comment, CRLF and compact-punctuation variants, seeded ``gen``
 traces (timed, untimed copies and copies with signed decimal times) and a few
-broken inputs, one syntax error per directive among them, with every command,
-format, law, semantics and ``--cap``; one 600-process timed trace goes
+broken inputs, among them one syntax error per directive and single-spaced
+faults in the form ``serialize_trace`` writes, with every command, format,
+law, semantics and ``--cap``; one 600-process timed trace goes
 through ``validate``, ``timepoints`` and ``hb`` only, and ``--help`` is asked
 of the program and of every command.  Each request is one
 ``orthochron.cli.main(argv)`` call in this process, with the package
@@ -49,6 +50,14 @@ SYNTAX_ERRORS = {
     "site": "site x a b\nsite y : c\n",
     "msg": "site x : a\nsite y : b\nmsg a b\n",
     "time": "site x : a\ntime a = 0 1\n",
+}
+# single-spaced, so parse_trace first offers every line to its split path
+CANONICAL_FAULTS = {
+    "late-site": "site x : a\nsite y : b\nmsg a -> b\nsite z : c\n",
+    "two-sites": "site x : a b\nsite y : c b\n",
+    "intra-site": "site x : a b\nsite y : c\nmsg a -> b\n",
+    "retimed": "site x : a\nsite y : b\ntime a = 0 .. 1\ntime b = 0 .. 1\ntime a = 1 .. 2\n",
+    "invalid-name": "site x : a 1a\nsite y : b\n",
 }
 WIDE = ["gen", "--seed", "3", "--sites", "10", "--procs", "60", "--messages", "600"]
 
@@ -96,6 +105,8 @@ def write_corpus() -> dict[str, list[str]]:
     texts["broken.trace"] = "site x : p1\nmsg p1 -> q9\n"
     for directive, text in SYNTAX_ERRORS.items():
         texts[f"syntax-{directive}.trace"] = text
+    for fault, text in CANONICAL_FAULTS.items():
+        texts[f"fault-{fault}.trace"] = text
     os.mkdir("fixtures")
     atoms = {}
     for path, text in texts.items():

@@ -8,8 +8,8 @@ import pytest
 
 import cli_digest
 
-DIGEST = "db71b057d39ac4eea72f11125220c98f2d31ed3199afa872b34c6f2315313737"
-LINES = 5736
+DIGEST = "0fbb7a56c0cca5a759a9d17ff380c9534a6057609b17e10ef53a0837c3c72984"
+LINES = 6016
 
 
 # argparse wraps --help to the terminal width, read from COLUMNS, and its

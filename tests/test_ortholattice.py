@@ -22,6 +22,7 @@ from orthochron.ortholattice import (
     LawCheck,
     OrthoLattice,
     _canonical_order,
+    _distributive,
     format_members,
     ortho_mask,
 )
@@ -39,6 +40,7 @@ from oracles import (
     twins_lattice,
     twins_trace,
 )
+from test_acceptance import get_corpus
 
 MO2_ELEMENTS = (
     frozenset(),
@@ -425,6 +427,16 @@ def test_check_laws_match_reference_scans(kind, n):
         assert lattice.check_laws(law) == expected
         if kind == "nondistributive" and law == "distributivity":
             assert not expected.holds
+
+
+def test_distributive_lattices_have_power_of_two_size():
+    """A distributive ortholattice is Boolean, which lets the distributivity
+    check skip its decision at any other size."""
+    lattices = [lattice for *_, lattice in get_corpus()]
+    lattices += [enumerate_closed(happened_before(_law_case(kind, n))) for kind, n in LAW_CASES]
+    sizes = [len(lattice) for lattice in lattices if _distributive(lattice)]
+    assert len(sizes) > len(LAW_CASES) // 4
+    assert all(size & (size - 1) == 0 for size in sizes)
 
 
 def test_check_laws_reject_uncertified_lattices(mo2_lattice, fig7_lattice):

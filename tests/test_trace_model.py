@@ -13,10 +13,12 @@ from orthochron import (
     TraceParseError,
     UntimedTraceError,
     gen_random,
+    happened_before,
     parse_trace,
     serialize_trace,
     validate,
 )
+from orthochron import trace_model
 from orthochron.trace_model import Message, Site, timing_problems
 
 import oracles
@@ -131,7 +133,8 @@ def _outcome(parse, text):
         return str(exc), exc.line, exc.column
 
 
-_NAMES = st.sampled_from(["a", "b", "c", "x", "site", "p_1"])
+_NAMES = st.sampled_from(["a", "b", "c", "x", "site", "p_1", "1a"])
+_SITE_NAMES = st.sampled_from(["x", "y", "z", "1a"])
 _NUMBERS = st.sampled_from(["0", "1", "-1", "+2", "0.5", "-0.25", "1.50", "\u0663", "1."])
 _PUNCT = st.sampled_from(["->", "..", ":", "="])
 _STRAY = st.sampled_from(["-", ">", ".", "$", "\u00a0", "#", "# note", "\r", "\x0c", "1.", "..."])
@@ -147,12 +150,14 @@ _HEADERS = [
 @st.composite
 def _trace_line(draw):
     """A directive's tokens, or random ones, with at most one token inserted,
-    dropped or replaced.  About half the lines join them with single spaces,
-    the form ``serialize_trace`` writes; the rest put random runs of spaces
-    and tabs, some empty, before and after every token."""
-    shape = draw(st.sampled_from(["site", "msg", "msg", "time", "time", "time", "junk"]))
+    dropped or replaced, and sometimes a trailing comment.  Names include the
+    invalid ``1a``, and an empty token makes a double space.  About half the
+    lines join the tokens with single spaces, the form ``serialize_trace``
+    writes; the rest put random runs of spaces and tabs, some empty, before
+    and after every token."""
+    shape = draw(st.sampled_from(["site", "site", "msg", "msg", "time", "time", "time", "junk"]))
     if shape == "site":
-        tokens = ["site", draw(_NAMES), ":", *draw(st.lists(_NAMES, max_size=3))]
+        tokens = ["site", draw(_SITE_NAMES), ":", *draw(st.lists(_NAMES, min_size=1, max_size=3))]
     elif shape == "msg":
         tokens = ["msg", draw(_NAMES), "->", draw(_NAMES)]
     elif shape == "time":
@@ -161,13 +166,28 @@ def _trace_line(draw):
         tokens = draw(st.lists(st.one_of(_NAMES, _NUMBERS, _PUNCT), max_size=6))
     if draw(st.integers(0, 2)) == 0:
         at = draw(st.integers(0, len(tokens)))
-        edit = st.one_of(_STRAY, _NAMES, _NUMBERS, _PUNCT)
+        edit = st.one_of(_STRAY, _NAMES, _NUMBERS, _PUNCT, st.just(""))
         tokens[at : at + draw(st.integers(0, 1))] = draw(st.lists(edit, max_size=1))
+    if draw(st.integers(0, 5)) == 0:
+        tokens.append("# note")
     if draw(st.booleans()):
         return " ".join(tokens)
     return draw(_GAPS) + "".join(token + draw(_GAPS) for token in tokens)
 
 
+# single-spaced site lines that the split path hands to the token reader: a
+# site after a msg or time line, a repeated site name, a process name declared
+# before or repeated within the line, an invalid name, an empty name between
+# two spaces, and a comment
+@hypothesis.example(_HEADERS[2], [("site z : d", "\n")])
+@hypothesis.example(_HEADERS[3], [("site z : d", "\n")])
+@hypothesis.example(_HEADERS[1], [("site x : d", "\n")])
+@hypothesis.example(_HEADERS[1], [("site z : d d", "\n")])
+@hypothesis.example(_HEADERS[1], [("site z : d a", "\n")])
+@hypothesis.example(_HEADERS[1], [("site z : 1a", "\n")])
+@hypothesis.example(_HEADERS[1], [("site 1a : d", "\n")])
+@hypothesis.example(_HEADERS[1], [("site z : d  e", "\n")])
+@hypothesis.example(_HEADERS[1], [("site z : d # note", "\n")])
 @hypothesis.settings(max_examples=500)
 @hypothesis.given(
     st.sampled_from(_HEADERS),
@@ -176,6 +196,19 @@ def _trace_line(draw):
 def test_parse_matches_token_reader(header, lines):
     text = header + "".join(line + end for line, end in lines)
     assert _outcome(parse_trace, text) == _outcome(oracles.parse_trace, text)
+
+
+@pytest.mark.parametrize("seed", range(1, 9))
+def test_canonical_documents_never_reach_the_token_reader(seed, monkeypatch):
+    timed = random_trace(seed, 1 + seed % 4, 1 + seed, 3 * seed)
+    untimed = dataclasses.replace(timed, timing=None)
+
+    def tokenize(line, lineno):
+        raise AssertionError(f"line {lineno} left the split path: {line!r}")
+
+    monkeypatch.setattr(trace_model, "_tokenize", tokenize)
+    for trace in (timed, untimed):
+        assert parse_trace(serialize_trace(trace)) == trace
 
 
 def test_validate_accepts_fixtures(fig2, fig5, fig7, mo2, single_site):
@@ -230,6 +263,18 @@ def test_ticks_put_every_time_on_the_common_denominator():
 @hypothesis.given(rational_traces(tiled=False))
 def test_timing_problems_match_fraction_comparisons(trace):
     assert timing_problems(trace) == oracles.timing_problems(trace)
+
+
+@hypothesis.given(
+    st.one_of(
+        rational_traces(tiled=True),
+        st.builds(random_trace, st.integers(0, 10**6), st.integers(1, 4), st.integers(1, 6), st.integers(0, 12)),
+    )
+)
+def test_valid_timing_rules_out_a_causal_cycle(trace):
+    """validate searches only untimed traces for a cycle."""
+    if not timing_problems(trace):
+        happened_before(trace)  # raises CycleError on a cycle
 
 
 def test_validate_reports_causal_cycle():
