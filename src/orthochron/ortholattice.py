@@ -22,7 +22,6 @@ by sorted member ordinals.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
@@ -249,8 +248,8 @@ class OrthoLattice:
     def check_laws(self, law: str) -> LawCheck:
         """Decide one law over the whole lattice and scan only a failing one, for the
         first failing tuple in lexicographic canonical-index order.  Every law but
-        orthomodularity is decided from the certificate: on a lattice that fails it,
-        raises ValueError."""
+        orthomodularity is decided from the certificate (distributivity by the
+        atoms), and on a lattice that fails it raises ValueError."""
         if law not in LAWS:
             raise ValueError(f"unknown law {law!r}; expected one of {', '.join(LAWS)}")
         if law != "orthomodularity" and not self._certified:
@@ -289,30 +288,30 @@ def _scan_axioms(lat: OrthoLattice):
     return None
 
 
-def _distributive(lat: OrthoLattice) -> bool:
-    """Every join-irreducible (one lower cover) is join-prime: it is not below
-    the join of the join-irreducibles not above it (Davey & Priestley)."""
-    masks = lat.masks
-    comp = lat.complement
-    covers = Counter(upper for _, upper in lat.hasse_edges())
-    irreducible = [i for i, count in covers.items() if count == 1]
-    for j in irreducible:
-        rest = lat.structure.full_mask  # meet of the complements of the rest
-        for x in irreducible:
-            if masks[j] & masks[x] != masks[j]:
-                rest &= masks[comp[x]]
-        if masks[j] & masks[comp[lat._position[rest]]] == masks[j]:
-            return False
-    return True
+def _boolean(lat: OrthoLattice) -> bool:
+    """Whether this certified ortholattice is Boolean: 2^k elements over k
+    pairwise orthogonal atoms, whose 2^k joins are then distinct and all of it.
+    Every nonzero element holds the closure ~N_p of some {p}, so the atoms are
+    the minimal such closures; atoms meet in 0, so visited by index (by size),
+    one is an atom iff it misses every atom kept before it."""
+    masks, comp, pos = lat.masks, lat.complement, lat._position
+    atoms, union = [], 0
+    for i in sorted({comp[pos[row]] for row in lat.structure.causality_masks}):
+        if not masks[i] & union:
+            atoms.append(i)
+            union |= masks[i]
+    return len(masks) == 1 << len(atoms) and all(
+        masks[x] & masks[comp[y]] == masks[x] for x in atoms for y in atoms if x != y
+    )
 
 
 def _scan_distributivity(lat: OrthoLattice):
-    # a distributive ortholattice is Boolean, with 2^k elements: at any other
-    # size it has a counterexample, so decide only at a power of two or where
-    # the axioms fail.  The scan skips the triples where the law holds in any
-    # lattice: a and b comparable, c <= a, c <= b, or c >= a | b
+    # a distributive ortholattice is Boolean; where the axioms fail (a
+    # reflexive structure built by hand) the scan alone decides.  It skips the
+    # triples where the law holds in any lattice: a and b comparable, c <= a,
+    # c <= b, or c >= a | b
     masks = lat.masks
-    if (len(masks) & (len(masks) - 1) == 0 or _scan_axioms(lat)) and _distributive(lat):
+    if _scan_axioms(lat) is None and _boolean(lat):
         return None
     for i, mi in enumerate(masks):
         for j, mj in enumerate(masks):
@@ -352,8 +351,8 @@ def _scan_orthomodularity(lat: OrthoLattice):
 # metavariables instantiated with process names; a check returns the first
 # failing (element indices, detail) in canonical-index order, or None.  Every
 # check but orthomodularity's runs only on a certified lattice, where De Morgan
-# and antitone complements are theorems and distributivity is settled by the
-# size or decided; orthomodularity is scanned over the comparable pairs.
+# and antitone complements are theorems and distributivity is decided from the
+# atoms; orthomodularity is scanned over the comparable pairs.
 LAWS = {
     "ortholattice-axioms": ((("~~a", "a"), ("a & ~a", "0"), ("a | ~a", "1")), _scan_axioms),
     "de-morgan": ((("~(a & b)", "~a | ~b"), ("~(a | b)", "~a & ~b")), lambda lat: None),

@@ -302,7 +302,7 @@ def parse_trace(text: str) -> Trace:
             messages.append(Message(sender, receiver))
         elif keyword == "time":
             past_sites = True
-            process = reader.process("process process name", site_of)
+            process = reader.process("process name", site_of)
             reader.take("punct", "'='", "=")
             start = reader.take("number", "start time")[0]
             reader.take("punct", "'..'", "..")

@@ -10,8 +10,9 @@ traces (timed, untimed copies and copies with signed decimal times) and a few
 broken inputs, among them one syntax error per directive and single-spaced
 faults in the form ``serialize_trace`` writes, with every command, format,
 law, semantics and ``--cap``; one 600-process timed trace goes
-through ``validate``, ``timepoints`` and ``hb`` only, and ``--help`` is asked
-of the program and of every command.  Each request is one
+through ``validate``, ``timepoints`` and ``hb`` only, two more traces through
+``laws`` with every law, and ``--help`` is asked of the program and of every
+command.  Each request is one
 ``orthochron.cli.main(argv)`` call in this process, with the package
 imported from the checkout's ``src``, so later requests reuse the parser of
 earlier ones.  Trace paths are relative to a temporary directory, so the
@@ -60,6 +61,12 @@ CANONICAL_FAULTS = {
     "invalid-name": "site x : a 1a\nsite y : b\n",
 }
 WIDE = ["gen", "--seed", "3", "--sites", "10", "--procs", "60", "--messages", "600"]
+# checked against every law on the lattice: 16 elements, orthomodular but not
+# Boolean, and a 10-process chain, Boolean with 1,024 elements
+LAW_TRACES = {
+    "three-sites.trace": "site x : a b c\nsite y : d e f\nsite z : g h\n",
+    "chain-10.trace": "site x : " + " ".join(f"p{i}" for i in range(1, 11)) + "\n",
+}
 
 
 def request(argv: list[str]) -> tuple[int, str, str]:
@@ -127,6 +134,10 @@ def corpus(atoms: dict[str, list[str]]):
     for fmt in ("text", "json"):
         yield ["timepoints", "wide.trace", "--format", fmt]
         yield ["hb", "wide.trace", "--format", fmt]
+    for path, text in LAW_TRACES.items():
+        Path(path).write_text(text)
+        for law in LAWS:
+            yield ["laws", path, "--law", law]
     yield ["lattice"]
     yield ["laws", "fixtures/fig7.trace", "--law", "no-such-law"]
     yield ["validate", "missing.trace"]

@@ -99,6 +99,34 @@ def brute_closed_family(cs):
     return family
 
 
+def next_closure(cs):
+    """Ganter's NextClosure ("Two basic algorithms in concept analysis", 1984)
+    on the causality context: every closed set A'' in lectic order, A' being
+    the processes related to all of A.  After the closed set A it takes the
+    highest process i outside A such that B = ((A below i) + i)'' adds no
+    process below i; B is the next.  It shares no code with the generator
+    closure of ``enumerate_closed``."""
+    rows, full = cs.causality_masks, cs.full_mask
+
+    def prime(mask):
+        out = full
+        for i in bit_indices(mask):
+            out &= rows[i]
+        return out
+
+    family = [prime(full)]
+    while family[-1] != full:
+        a = family[-1]
+        for i in reversed(range(cs.size)):
+            below = (1 << i) - 1
+            if not a >> i & 1:
+                b = prime(prime(a & below | 1 << i))
+                if b & below == a & below:
+                    family.append(b)
+                    break
+    return family
+
+
 def bit_indices(mask):
     """Ordinals of the set bits, lowest first, one bit at a time."""
     out = []
@@ -469,6 +497,21 @@ def barrier_trace(n_sites, rounds):
     return Trace(sites, messages)
 
 
+def untimed_trace(seed, n_sites, procs_per_site, n_messages):
+    """An untimed trace whose up to ``n_messages`` messages go forward in one
+    random interleaving of the sites, so they are acyclic.  Unlike
+    ``gen_random``'s they need fit no tiling by times: a process may send to
+    another site and hear back before its own successor starts."""
+    rng = random.Random(seed)
+    sites = tuple(Site(f"s{i}", tuple(f"s{i}p{k}" for k in range(procs_per_site))) for i in range(n_sites))
+    slots = [i for i in range(n_sites) for _ in range(procs_per_site)]
+    rng.shuffle(slots)
+    order = [(i, f"s{i}p{slots[:x].count(i)}") for x, i in enumerate(slots)]
+    pairs = [(a, b) for x, (i, a) in enumerate(order) for j, b in order[x + 1:] if i != j]
+    messages = rng.sample(pairs, min(n_messages, len(pairs)))
+    return Trace(sites, tuple(Message(a, b) for a, b in messages))
+
+
 def block_lattice(blocks):
     """The closed sets and cover pairs, as name sets, of a trace whose
     processes are each concurrent with exactly the other processes of their
@@ -587,16 +630,16 @@ def parse_trace(text: str) -> Trace:
             sites.append(Site(site_name, tuple(procs)))
         elif keyword == "msg":
             past_sites = True
-            sender = _resolve(reader, site_of, "sender")
+            sender = _resolve(reader, site_of, "sender process name")
             reader.take("punct", "'->'", "->")
-            receiver = _resolve(reader, site_of, "receiver")
+            receiver = _resolve(reader, site_of, "receiver process name")
             reader.expect_end()
             if site_of[sender] == site_of[receiver]:
                 raise TraceParseError(f"intra-site message {sender} -> {receiver}", lineno, col)
             messages.append(Message(sender, receiver))
         elif keyword == "time":
             past_sites = True
-            name = _resolve(reader, site_of, "process")
+            name = _resolve(reader, site_of, "process name")
             reader.take("punct", "'='", "=")
             start_text, _ = reader.take("number", "start time")
             reader.take("punct", "'..'", "..")
@@ -619,8 +662,8 @@ def parse_trace(text: str) -> Trace:
     return Trace(tuple(sites), tuple(messages), timing or None)
 
 
-def _resolve(reader: _LineReader, site_of: dict[str, int], role: str) -> str:
-    name, col = reader.take("name", f"{role} process name")
+def _resolve(reader: _LineReader, site_of: dict[str, int], expected: str) -> str:
+    name, col = reader.take("name", expected)
     if name not in site_of:
         raise TraceParseError(f"unknown process {name!r}", reader.lineno, col)
     return name

@@ -164,6 +164,12 @@ def test_unparsable_trace(cli, tmp_path):
     assert "error: line 1" in err
 
 
+def test_time_line_without_a_process(cli, tmp_path):
+    bad = tmp_path / "nameless.trace"
+    bad.write_text("site x : a\ntime = 0 .. 1\n")
+    assert cli("validate", str(bad)) == (2, "", "error: line 2, column 6: expected process name, found '='\n")
+
+
 def test_timepoints_text(cli):
     code, out, _ = cli("timepoints", FIG2)
     assert code == 0

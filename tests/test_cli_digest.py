@@ -8,8 +8,8 @@ import pytest
 
 import cli_digest
 
-DIGEST = "0fbb7a56c0cca5a759a9d17ff380c9534a6057609b17e10ef53a0837c3c72984"
-LINES = 6016
+DIGEST = "9b8d95462f8c46f9ea34bdb6146a1768285339de4eee45d21db35ac3e397935d"
+LINES = 6024
 
 
 # argparse wraps --help to the terminal width, read from COLUMNS, and its

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 import re
 import time
@@ -9,6 +8,7 @@ import pytest
 
 from orthochron import (
     CapExceededError,
+    CausalStructure,
     close,
     enumerate_closed,
     gen_random,
@@ -21,8 +21,8 @@ from orthochron.ortholattice import (
     LAWS,
     LawCheck,
     OrthoLattice,
+    _boolean,
     _canonical_order,
-    _distributive,
     format_members,
     ortho_mask,
 )
@@ -37,8 +37,10 @@ from oracles import (
     brute_covers,
     brute_ortho,
     canonical_key,
+    next_closure,
     twins_lattice,
     twins_trace,
+    untimed_trace,
 )
 from test_acceptance import get_corpus
 
@@ -269,7 +271,7 @@ def _cover_case(kind, seed):
     n_sites, procs = COVER_SHAPES[seed % len(COVER_SHAPES)]
     if kind == "timed":
         return random_trace(seed, n_sites, procs, seed % 7)
-    return dataclasses.replace(random_trace(seed + 100, n_sites, procs, seed % 7), timing=None)
+    return untimed_trace(seed + 100, n_sites, procs, seed % 7)
 
 
 @pytest.mark.parametrize("kind", ["timed", "untimed", "boolean"])
@@ -430,13 +432,73 @@ def test_check_laws_match_reference_scans(kind, n):
 
 
 def test_distributive_lattices_have_power_of_two_size():
-    """A distributive ortholattice is Boolean, which lets the distributivity
-    check skip its decision at any other size."""
+    """A distributive ortholattice is Boolean, so every lattice the
+    distributivity check passes has a power-of-two size."""
     lattices = [lattice for *_, lattice in get_corpus()]
     lattices += [enumerate_closed(happened_before(_law_case(kind, n))) for kind, n in LAW_CASES]
-    sizes = [len(lattice) for lattice in lattices if _distributive(lattice)]
+    sizes = [len(lattice) for lattice in lattices if lattice.check_laws("distributivity").holds]
     assert len(sizes) > len(LAW_CASES) // 4
     assert all(size & (size - 1) == 0 for size in sizes)
+
+
+@st.composite
+def small_lattices(draw):
+    """Closed-set lattices of at most 128 elements: random traces of two to
+    four sites, timed (gen_random) and untimed, twins traces (chains when
+    m = 0) and barrier rounds."""
+    kind = draw(st.sampled_from([random_trace, untimed_trace, twins_trace, barrier_trace]))
+    if kind is twins_trace:
+        trace = twins_trace(draw(st.integers(1, 5)), draw(st.integers(0, 5)))
+    elif kind is barrier_trace:
+        trace = barrier_trace(draw(st.integers(2, 4)), draw(st.integers(1, 6)))
+    else:
+        shape = (draw(st.integers(2, 4)), draw(st.integers(1, 4)), draw(st.integers(0, 8)))
+        trace = kind(draw(st.integers(0, 10**6)), *shape)
+    lattice = enumerate_closed(happened_before(trace))
+    hypothesis.assume(len(lattice) <= 128)
+    return lattice
+
+
+@hypothesis.settings(max_examples=60, deadline=None)
+@hypothesis.given(small_lattices())
+def test_distributivity_matches_reference_scan(lattice):
+    """The verdict and triple are the reference scan's, and the decision alone
+    already knows the verdict, even where a process lies in no atom."""
+    law = "distributivity"
+    expected = _reference_check(lattice, law)
+    assert lattice.check_laws(law) == expected
+    assert _boolean(lattice) == expected.holds
+
+
+# three sites without messages: 16 elements, orthomodular but not Boolean
+THREE_SITES = "site x : a b c\nsite y : d e f\nsite z : g h\n"
+
+
+def test_distributivity_reads_no_covers(monkeypatch):
+    def no_covers(self):
+        raise AssertionError("hasse_edges called")
+
+    monkeypatch.setattr(OrthoLattice, "hasse_edges", no_covers)
+    # a 12-process chain (4,096 sets) and 8 barrier rounds (256 sets) are Boolean
+    for trace in (gen_random(12, 1, 12, 0), barrier_trace(40, 8)):
+        assert enumerate_closed(happened_before(trace)).check_laws("distributivity").holds
+    lattice = enumerate_closed(happened_before(parse_trace(THREE_SITES)))
+    assert len(lattice) == 16
+    assert lattice.check_laws("orthomodularity").holds
+    result = lattice.check_laws("distributivity")
+    assert not result.holds
+    assert result == _reference_check(lattice, "distributivity")
+
+
+def test_distributivity_where_the_axioms_fail():
+    """A reflexive structure built by hand, a related to itself: its closed
+    sets {}, {a}, {a, b} pass the certificate, but {a} & ~{a} = {a}, so the
+    scan alone decides distributivity."""
+    lattice = enumerate_closed(CausalStructure(("a", "b"), (0, 0), (0b01, 0b00)))
+    assert lattice._certified
+    assert not lattice.check_laws("ortholattice-axioms").holds
+    law = "distributivity"
+    assert lattice.check_laws(law) == _reference_check(lattice, law)
 
 
 def test_check_laws_reject_uncertified_lattices(mo2_lattice, fig7_lattice):
@@ -596,6 +658,34 @@ def test_enumeration_matches_brute_force_on_random_traces(seed):
     lattice = enumerate_closed(cs)
     assert set(lattice.elements) == brute_closed_family(cs)
     assert lattice._certified
+
+
+@st.composite
+def wide_closed_sets(draw):
+    """The structure of a random trace of 21-40 processes, timed (gen_random)
+    or untimed, and its closed sets, at most 4,000 of them."""
+    kind = draw(st.sampled_from([random_trace, untimed_trace]))
+    n_sites = draw(st.integers(5, 8))
+    procs = draw(st.integers(-(-21 // n_sites), min(6, 40 // n_sites)))
+    n_messages = draw(st.integers(0, 3 * n_sites * procs))
+    cs = happened_before(kind(draw(st.integers(0, 10**6)), n_sites, procs, n_messages))
+    try:
+        return cs, enumerate_closed(cs, cap=4000)
+    except CapExceededError:
+        hypothesis.reject()
+
+
+@hypothesis.settings(max_examples=25, deadline=None)
+@hypothesis.given(wide_closed_sets())
+def test_enumeration_matches_next_closure_past_20_processes(case):
+    """Past the brute-force oracles: the family is NextClosure's, and up to 300
+    elements the covers are the brute-force covers of that family."""
+    cs, lattice = case
+    family = next_closure(cs)
+    assert lattice.masks == tuple(sorted(family, key=canonical_key))
+    if len(lattice) <= 300:
+        covers = brute_covers({cs.names_of(m) for m in family})
+        assert lattice.hasse_edges() == sorted((lattice.index_of(a), lattice.index_of(b)) for a, b in covers)
 
 
 @hypothesis.given(st.integers(min_value=1, max_value=10**9))

@@ -103,6 +103,7 @@ def test_serialize_rejects_non_decimal_rational():
         ("site\tx\t:\ta\ntime\ta\t=\t0\t..\t1\ttime\n", "trailing token 'time'"),
         ("site x : a\ntime a = 0 .. 1.\n", "unexpected character '.'"),
         ("site x : a\nmsg a -> 5\n", "expected receiver process name, found '5'"),
+        ("site x : a\ntime = 0 .. 1\n", "line 2, column 6: expected process name, found '='"),
     ],
 )
 def test_parse_errors(text, fragment):
