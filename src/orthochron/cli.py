@@ -173,12 +173,22 @@ def _cmd_hb(args: argparse.Namespace, out: IO[str]) -> int:
 def _cmd_lattice(args: argparse.Namespace, out: IO[str]) -> int:
     lattice = enumerate_closed(happened_before(_load_trace(args)), cap=args.cap)
     if args.format == "json":
-        print(json.dumps(lattice.to_json_dict()), file=out)
+        # json.dumps(lattice.to_json_dict()), written key by key: each name is
+        # quoted once and an element joins the quoted names its mask selects
+        quoted = [json.dumps(name) for name in lattice.structure.names]
+        complement, edges = lattice.complement, lattice.hasse_edges()
+        out.write('{"elements": [')
+        out.write(", ".join(f"[{', '.join(compress(quoted, _selectors(m)))}]" for m in lattice.masks))
+        out.write('], "complement": [')
+        out.write(", ".join(map(str, complement)))
+        out.write('], "hasse": [')
+        out.write(", ".join(f"[{a}, {b}]" for a, b in edges))
+        out.write("]}\n")
     elif args.format == "dot":
         out.write(lattice.to_dot())
     else:
-        for mask in lattice.masks:
-            print(format_members(lattice.structure.sorted_names_of(mask)), file=out)
+        sorted_names_of = lattice.structure.sorted_names_of
+        out.write("".join(f"{format_members(sorted_names_of(m))}\n" for m in lattice.masks))
     return EXIT_OK
 
 

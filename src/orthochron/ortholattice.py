@@ -12,7 +12,10 @@ maximal sets y & N_p other than y, for a closed z strictly below y is the meet
 of the N_q, q in ortho(z); one misses y, so z lies in y & N_q, closed and below
 y.  Visited largest first, a candidate is maximal iff it lies inside no cover
 kept so far: a larger candidate was visited earlier and lies inside a kept
-cover, and two distinct sets of equal size never contain one another.
+cover, and two distinct sets of equal size never contain one another.  The
+covers are searched from the top down: a lower cover z of y has
+z & N_p = z & (y & N_p), so z draws its candidates from the few distinct
+y & N_p of the first upper cover y found for it, not from every generator.
 
 Meet is set intersection; join is the orthocomplement of the meet of the
 orthocomplements, equivalently the least closed superset of the union.
@@ -211,12 +214,19 @@ class OrthoLattice:
         """Cover pairs (lower index, upper index), ascending: the lower covers of
         y are the maximal y & N_p != y, since any closed set strictly below y is
         in one.  Visited largest first, a candidate is maximal iff it lies inside
-        no lower cover of y found before it."""
-        generators = dict.fromkeys(self.structure.causality_masks)
-        position = self._position
-        edges = []
-        for b, y in enumerate(self.masks):
-            below = {y & g for g in generators}
+        no lower cover of y found before it.  Elements are visited from the top
+        down, and each takes its candidates from the first upper cover found for
+        it: for z inside y, z & N_p = z & (y & N_p), so the few distinct y & N_p
+        stand in for every generator.  An element no cover handed candidates to
+        takes the generators."""
+        generators = tuple(dict.fromkeys(self.structure.causality_masks))
+        masks, position = self.masks, self._position
+        handed = [None] * len(masks)
+        uppers = [[] for _ in masks]
+        for b in reversed(range(len(masks))):
+            y, candidates = masks[b], handed[b]
+            handed[b] = None
+            below = {y & w for w in (generators if candidates is None else candidates)}
             below.discard(y)
             covers = []
             for z in sorted(below, key=int.bit_count, reverse=True):
@@ -225,9 +235,11 @@ class OrthoLattice:
                         break
                 else:
                     covers.append(z)
-                    edges.append((position[z], b))
-        edges.sort()
-        return edges
+                    a = position[z]
+                    uppers[a].append(b)
+                    if handed[a] is None:
+                        handed[a] = below
+        return [(a, b) for a, ups in enumerate(uppers) for b in reversed(ups)]
 
     def _fmt(self, index: int) -> str:
         return format_members(self.structure.sorted_names_of(self.masks[index]))

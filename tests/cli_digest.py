@@ -11,8 +11,8 @@ broken inputs, among them one syntax error per directive and single-spaced
 faults in the form ``serialize_trace`` writes, with every command, format,
 law, semantics and ``--cap``; one 600-process timed trace goes
 through ``validate``, ``timepoints`` and ``hb`` only, two more traces through
-``laws`` with every law, and ``--help`` is asked of the program and of every
-command.  Each request is one
+``laws`` with every law and ``lattice`` in every format, and ``--help`` is
+asked of the program and of every command.  Each request is one
 ``orthochron.cli.main(argv)`` call in this process, with the package
 imported from the checkout's ``src``, so later requests reuse the parser of
 earlier ones.  Trace paths are relative to a temporary directory, so the
@@ -61,8 +61,9 @@ CANONICAL_FAULTS = {
     "invalid-name": "site x : a 1a\nsite y : b\n",
 }
 WIDE = ["gen", "--seed", "3", "--sites", "10", "--procs", "60", "--messages", "600"]
-# checked against every law on the lattice: 16 elements, orthomodular but not
-# Boolean, and a 10-process chain, Boolean with 1,024 elements
+# checked against every law on the lattice and exported in every format: 16
+# elements, orthomodular but not Boolean, and a 10-process chain, Boolean with
+# 1,024 elements and 5,120 covers
 LAW_TRACES = {
     "three-sites.trace": "site x : a b c\nsite y : d e f\nsite z : g h\n",
     "chain-10.trace": "site x : " + " ".join(f"p{i}" for i in range(1, 11)) + "\n",
@@ -138,6 +139,8 @@ def corpus(atoms: dict[str, list[str]]):
         Path(path).write_text(text)
         for law in LAWS:
             yield ["laws", path, "--law", law]
+        for fmt in ("text", "json", "dot"):
+            yield ["lattice", path, "--format", fmt]
     yield ["lattice"]
     yield ["laws", "fixtures/fig7.trace", "--law", "no-such-law"]
     yield ["validate", "missing.trace"]

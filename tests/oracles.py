@@ -5,7 +5,9 @@ enumeration over subsets, tuples or fixpoint iteration.  ``canonical_key``
 sorts closed sets by a tuple of member ordinals, the reference for the int
 key of ``enumerate_closed``.  The law scans try
 every element pair or triple of an ``OrthoLattice``, the reference for
-``OrthoLattice.check_laws``, which decides most verdicts without them.  The
+``OrthoLattice.check_laws``, which decides most verdicts without them.
+``generator_covers`` searches each element's covers among its meets with
+every generator, the reference for the top-down ``hasse_edges``.  The
 oracle filter, the recursive-descent formula parser (its tree's post-order
 walk is the postfix program), the two recursive evaluators, the
 substitution-based law comparison, the list-based trace generator and the
@@ -152,6 +154,27 @@ def brute_covers(family):
         for b in family
         if a < b and not any(a < c < b for c in family)
     }
+
+
+def generator_covers(lat: OrthoLattice):
+    """Cover pairs (lower index, upper index), sorted, from every generator:
+    the lower covers of y are the maximal y & N_p other than y, kept largest
+    first when they lie inside no cover kept so far.  The reference for the
+    top-down search of ``OrthoLattice.hasse_edges``, at sizes where
+    ``brute_covers`` is too slow."""
+    generators = dict.fromkeys(lat.structure.causality_masks)
+    position = lat._position
+    edges = []
+    for b, y in enumerate(lat.masks):
+        below = {y & g for g in generators}
+        below.discard(y)
+        covers = []
+        for z in sorted(below, key=int.bit_count, reverse=True):
+            if not any(z & w == z for w in covers):
+                covers.append(z)
+                edges.append((position[z], b))
+    edges.sort()
+    return edges
 
 
 def _scan_axioms(lat: OrthoLattice):

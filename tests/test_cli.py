@@ -13,6 +13,7 @@ from orthochron import (
     CausalStructure,
     OrthoLattice,
     enumerate_closed,
+    gen_random,
     happened_before,
     parse_trace,
     serialize_trace,
@@ -325,6 +326,53 @@ def test_lattice_cap(cli):
         "",
         "error: closed-set enumeration exceeded cap 3 (reached 13 elements)\n",
     )
+
+
+CHAIN_10 = "site x : " + " ".join(f"p{i}" for i in range(1, 11)) + "\n"
+LATTICE_EXPORTS = [
+    *[pytest.param(fixture_path(f"{name}.trace").read_text(), id=name)
+      for name in ("fig2", "fig5", "fig7", "mo2", "single-site")],
+    *[pytest.param(serialize_trace(random_trace(seed, n, k, m)), id=f"timed-{seed}-{n}-{k}-{m}")
+      for seed in range(3) for n, k, m in [(1, 4, 0), (3, 3, 4), (4, 3, 6), (5, 4, 8)]],
+    *[pytest.param(serialize_trace(oracles.untimed_trace(seed, n, k, m)), id=f"untimed-{seed}-{n}-{k}-{m}")
+      for seed in range(3) for n, k, m in [(2, 3, 2), (4, 3, 6), (6, 4, 10)]],
+    pytest.param(serialize_trace(oracles.twins_trace(3, 5)), id="twins-3-5"),
+    pytest.param(serialize_trace(oracles.barrier_trace(6, 4)), id="barrier-6-4"),
+    pytest.param(CHAIN_10, id="chain-10"),
+]
+
+
+@pytest.mark.parametrize("text", LATTICE_EXPORTS)
+def test_lattice_json_is_the_library_dict_export(cli, tmp_path, text):
+    """The CLI writes its JSON text itself; it must stay ``json.dumps`` of
+    ``OrthoLattice.to_json_dict``, byte for byte.  chain-10 has 1,024 elements."""
+    path = tmp_path / "export.trace"
+    path.write_text(text)
+    lattice = enumerate_closed(happened_before(parse_trace(text)))
+    expected = json.dumps(lattice.to_json_dict()) + "\n"
+    assert cli("lattice", str(path), "--format", "json") == (0, expected, "")
+
+
+@pytest.mark.parametrize("text", [CHAIN_10, serialize_trace(gen_random(3, 6, 8, 10))],
+                         ids=["chain-10", "random-2290"])
+def test_lattice_json_export_holds_little_beyond_its_output(tmp_path, text):
+    """Writing the JSON text from names quoted once, rather than through one
+    ``json.dumps`` of the whole payload, keeps the request's allocation peak
+    under ten times the output's length."""
+    path = tmp_path / "export.trace"
+    path.write_text(text)
+    argv = ["lattice", str(path), "--format", "json"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        main(argv)
+    out = io.StringIO()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(out):
+            assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * len(out.getvalue())
 
 
 def test_eval_ortho_text(cli):

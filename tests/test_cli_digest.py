@@ -8,8 +8,8 @@ import pytest
 
 import cli_digest
 
-DIGEST = "9b8d95462f8c46f9ea34bdb6146a1768285339de4eee45d21db35ac3e397935d"
-LINES = 6024
+DIGEST = "fb17ea33aa46d8f2a12d6946812f456ac98c60bb7e1ccb9a050ee481af4c0b07"
+LINES = 6030
 
 
 # argparse wraps --help to the terminal width, read from COLUMNS, and its

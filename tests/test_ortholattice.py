@@ -37,6 +37,7 @@ from oracles import (
     brute_covers,
     brute_ortho,
     canonical_key,
+    generator_covers,
     next_closure,
     twins_lattice,
     twins_trace,
@@ -678,14 +679,25 @@ def wide_closed_sets(draw):
 @hypothesis.settings(max_examples=25, deadline=None)
 @hypothesis.given(wide_closed_sets())
 def test_enumeration_matches_next_closure_past_20_processes(case):
-    """Past the brute-force oracles: the family is NextClosure's, and up to 300
-    elements the covers are the brute-force covers of that family."""
+    """Past the brute-force oracles: the family is NextClosure's and the covers
+    are the per-generator search's; up to 300 elements the covers are also the
+    brute-force covers of that family, up to 1,000 each complement is the
+    quantified orthocomplement, and up to 128 every law verdict is the
+    reference scan's."""
     cs, lattice = case
     family = next_closure(cs)
     assert lattice.masks == tuple(sorted(family, key=canonical_key))
+    edges = lattice.hasse_edges()
+    assert edges == generator_covers(lattice)
     if len(lattice) <= 300:
         covers = brute_covers({cs.names_of(m) for m in family})
-        assert lattice.hasse_edges() == sorted((lattice.index_of(a), lattice.index_of(b)) for a, b in covers)
+        assert edges == sorted((lattice.index_of(a), lattice.index_of(b)) for a, b in covers)
+    if len(lattice) <= 1000:
+        for element, c in zip(lattice.elements, lattice.complement):
+            assert lattice.elements[c] == brute_ortho(cs, element)
+    if len(lattice) <= 128:
+        for law in LAWS:
+            assert lattice.check_laws(law) == _reference_check(lattice, law)
 
 
 @hypothesis.given(st.integers(min_value=1, max_value=10**9))
