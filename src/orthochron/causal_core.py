@@ -66,7 +66,7 @@ class CausalStructure:
         return frozenset(compress(self.names, _selectors(mask)))
 
     def sorted_names_of(self, mask: int) -> list[str]:
-        return list(compress(self.names, _selectors(mask)))
+        return _selected(self.names, mask)
 
     def causally_related(self, p: str, q: str) -> bool:
         """Happened-before in either direction; irreflexive and symmetric."""
@@ -94,6 +94,19 @@ _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 def _selectors(mask: int) -> bytes:
     """One byte per ordinal, lowest first: 1 where the mask has the bit."""
     return bin(mask)[:1:-1].encode().translate(_BIT_BYTES)
+
+
+def _selected(items: tuple[str, ...], mask: int) -> list[str]:
+    """The items at the mask's bits, lowest first: found bit by bit when the
+    mask holds at most one in eight of the items, else by ``compress``."""
+    if mask.bit_count() * 8 > len(items):
+        return list(compress(items, _selectors(mask)))
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(items[low.bit_length() - 1])
+        mask ^= low
+    return out
 
 
 def _topological_order(n: int, direct: list[list[int]]) -> list[int]:

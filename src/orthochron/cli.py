@@ -13,12 +13,12 @@ import functools
 import json
 import sys
 from array import array
-from itertools import compress
+from itertools import chain, compress
 from pathlib import Path
 from typing import IO, Iterable
 
 from . import __version__
-from .causal_core import CausalStructure, _selectors, happened_before
+from .causal_core import CausalStructure, _selected, _selectors, happened_before
 from .chronology import time_points
 from .logic_eval import compare_laws, eval_boolean, eval_ortho, parse_formula
 from .ortholattice import DEFAULT_CAP, LAWS, _canonical_order, enumerate_closed, format_members
@@ -175,17 +175,17 @@ def _cmd_lattice(args: argparse.Namespace, out: IO[str]) -> int:
     if args.format == "json":
         # json.dumps(lattice.to_json_dict()), written key by key: each name is
         # quoted once and an element joins the quoted names its mask selects
-        quoted = [json.dumps(name) for name in lattice.structure.names]
+        quoted = tuple([json.dumps(name) for name in lattice.structure.names])
         complement, edges = lattice.complement, lattice.hasse_edges()
         out.write('{"elements": [')
-        out.write(", ".join(f"[{', '.join(compress(quoted, _selectors(m)))}]" for m in lattice.masks))
+        out.write(", ".join(f"[{', '.join(_selected(quoted, m))}]" for m in lattice.masks))
         out.write('], "complement": [')
         out.write(", ".join(map(str, complement)))
         out.write('], "hasse": [')
-        out.write(", ".join(f"[{a}, {b}]" for a, b in edges))
+        out.write(", ".join(["[%d, %d]"] * len(edges)) % tuple(chain.from_iterable(edges)))
         out.write("]}\n")
     elif args.format == "dot":
-        out.write(lattice.to_dot())
+        lattice._write_dot(out)
     else:
         sorted_names_of = lattice.structure.sorted_names_of
         out.write("".join(f"{format_members(sorted_names_of(m))}\n" for m in lattice.masks))

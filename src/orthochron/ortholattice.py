@@ -6,16 +6,23 @@ neighborhoods of its members (the empty intersection being the full process
 set).  Every orthocomplement is itself closed, so the closed sets are
 exactly the intersection closure of the neighborhoods together with the
 full set: the Moore family generated by the P neighborhoods, enumerated by
-intersecting the whole family with one distinct generator per pass.  The
-generators give the Hasse covers too: the lower covers of a closed y are the
-maximal sets y & N_p other than y, for a closed z strictly below y is the meet
-of the N_q, q in ortho(z); one misses y, so z lies in y & N_q, closed and below
-y.  Visited largest first, a candidate is maximal iff it lies inside no cover
-kept so far: a larger candidate was visited earlier and lies inside a kept
-cover, and two distinct sets of equal size never contain one another.  The
+intersecting the whole family with one distinct generator per pass, smallest
+first.  Processes with one neighborhood ("twins") contribute one AND to a
+complement.  The generators give the Hasse covers too: the lower covers of a
+closed y are the maximal sets y & N_p other than y, for a closed z strictly
+below y is the meet of the N_q, q in ortho(z); one misses y, so z lies in
+y & N_q, closed and below y.  A candidate z is maximal iff ~z = ~y | Q_z, Q_z
+being the processes q with y & N_q = z (Lindig, "Fast concept analysis",
+2000): each q in ~z outside ~y has z inside y & N_q, strictly below y, and a
+closed w strictly between z and y gives a q in ~w outside ~y and Q_z.  The
 covers are searched from the top down: a lower cover z of y has
-z & N_p = z & (y & N_p), so z draws its candidates from the few distinct
-y & N_p of the first upper cover y found for it, not from every generator.
+z & N_p = z & (y & N_p), so z draws its candidates, with their Q, from the
+few distinct y & N_p of the first upper cover y found for it, not from every
+generator.  The orthocomplement reverses the order and is an involution, so
+z covers y iff ~y covers ~z: only the up-set S of the y with |y| >= |~y| is
+searched, and a cover (z, y) found there is mirrored as (~y, ~z) when ~z is
+outside S.  A cover with its upper end outside S has |~z| > |~y| > |y| > |z|,
+so its mirror lies in S.
 
 Meet is set intersection; join is the orthocomplement of the meet of the
 orthocomplements, equivalently the least closed superset of the union.
@@ -25,9 +32,11 @@ by sorted member ordinals.
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from itertools import chain
+from typing import IO, Iterable
 
 from .causal_core import CausalStructure
 
@@ -77,28 +86,25 @@ _REVERSED = bytes([int(f"{b:08b}"[::-1], 2) for b in range(256)])
 
 def _canonical_order(family: Iterable[int], width: int) -> tuple[int, ...]:
     """Masks of ``width`` bits by cardinality, then lexicographically by sorted
-    member ordinals, under one int key: the cardinality above the complement of
-    the bit-reversed mask, reversed bytewise over whole bytes.  Of two equal-size
-    masks the lexicographically first holds their lowest differing bit, which
+    member ordinals, in two sorts: descending by the mask's bytes, little-endian
+    and each bit-reversed, then stably by cardinality.  Of two equal-size masks
+    the lexicographically first holds their lowest differing bit, which the
     reversal makes the highest."""
     nbytes = (width + 7) // 8
-    bits = 8 * nbytes
-    full = (1 << bits) - 1
-
-    def key(m: int) -> int:
-        reversed_m = int.from_bytes(m.to_bytes(nbytes, "little").translate(_REVERSED), "big")
-        return m.bit_count() << bits | full ^ reversed_m
-
-    return tuple(sorted(family, key=key))
+    ordered = sorted(
+        family, key=lambda m: m.to_bytes(nbytes, "little").translate(_REVERSED), reverse=True
+    )
+    ordered.sort(key=int.bit_count)
+    return tuple(ordered)
 
 
 def enumerate_closed(cs: CausalStructure, cap: int = DEFAULT_CAP) -> OrthoLattice:
     """Enumerate every closed set as a Moore family.
 
     Seeds the family with the full set and all neighborhoods, then, for each
-    distinct neighborhood in turn, adds its intersection with every member so
-    far in one pass; after the last one the family is closed under
-    intersection.  Raises CapExceededError if the seeds exceed ``cap``, or
+    distinct neighborhood in turn, smallest first, adds its intersection with
+    every member so far in one pass; after the last one the family is closed
+    under intersection.  Raises CapExceededError if the seeds exceed ``cap``, or
     after the first pass that leaves more than ``cap`` elements.  Added one at
     a time, that family would first have exceeded the cap at ``cap + 1``
     elements, the count reported; a pass may hold up to ``cap`` extra sets
@@ -106,7 +112,7 @@ def enumerate_closed(cs: CausalStructure, cap: int = DEFAULT_CAP) -> OrthoLattic
     """
     if cap <= 0:
         raise ValueError("cap must be positive")
-    generators = dict.fromkeys(cs.causality_masks)
+    generators = sorted(dict.fromkeys(cs.causality_masks), key=int.bit_count)
     family = {cs.full_mask, *generators}
     if len(family) > cap:
         raise CapExceededError(cap, len(family))
@@ -148,11 +154,29 @@ class OrthoLattice:
         return {m: i for i, m in enumerate(self.masks)}
 
     @cached_property
+    def _twin_classes(self) -> dict[int, int]:
+        """Each distinct causality row, with the mask of the processes that have it."""
+        classes: dict[int, int] = {}
+        for i, row in enumerate(self.structure.causality_masks):
+            classes[row] = classes.get(row, 0) | 1 << i
+        return classes
+
+    @cached_property
     def complement(self) -> tuple[int, ...]:
         """For each element, the index of its orthocomplement; ValueError names
-        the first element whose orthocomplement is not an element."""
-        cs, pos = self.structure, self._position
-        indices = [pos.get(ortho_mask(cs, m)) for m in self.masks]
+        the first element whose orthocomplement is not an element.  A member's
+        row is ANDed once for its whole twin class."""
+        cs, pos, classes = self.structure, self._position, self._twin_classes
+        rows, full = cs.causality_masks, cs.full_mask
+        others = [~classes[row] for row in rows]
+        indices = []
+        for rest in self.masks:
+            out = full
+            while rest:
+                p = (rest & -rest).bit_length() - 1
+                out &= rows[p]
+                rest &= others[p]
+            indices.append(pos.get(out))
         if None in indices:
             missing = self._fmt(indices.index(None))
             raise ValueError(f"the orthocomplement of {missing} is not an element of this lattice")
@@ -211,35 +235,44 @@ class OrthoLattice:
         return self.complement[self._meet_index(self.complement[i], self.complement[j])]
 
     def hasse_edges(self) -> list[tuple[int, int]]:
-        """Cover pairs (lower index, upper index), ascending: the lower covers of
-        y are the maximal y & N_p != y, since any closed set strictly below y is
-        in one.  Visited largest first, a candidate is maximal iff it lies inside
-        no lower cover of y found before it.  Elements are visited from the top
-        down, and each takes its candidates from the first upper cover found for
-        it: for z inside y, z & N_p = z & (y & N_p), so the few distinct y & N_p
-        stand in for every generator.  An element no cover handed candidates to
-        takes the generators."""
-        generators = tuple(dict.fromkeys(self.structure.causality_masks))
-        masks, position = self.masks, self._position
+        """Cover pairs (lower index, upper index), ascending.  Only the up-set
+        S = {y : |y| >= |~y|} is searched, from the top down: a candidate
+        z = y & N_p != y is a lower cover iff ~z = ~y | Q_z, Q_z the processes
+        q with y & N_q = z.  Each element of S takes its candidates, with
+        their Q, from the first upper cover found for it (for z inside y,
+        z & N_p = z & (y & N_p)); the top takes the twin classes.  A cover
+        (z, y) is mirrored as (~y, ~z) when ~z is outside S.  Raises
+        ValueError if the complement is not an involution."""
+        masks, position, comp = self.masks, self._position, self.complement
+        if [comp[c] for c in comp] != list(range(len(comp))):
+            raise ValueError("Hasse covers need an orthocomplement that is an involution")
+        searched = [m.bit_count() >= masks[c].bit_count() for m, c in zip(masks, comp)]
         handed = [None] * len(masks)
+        handed[-1] = self._twin_classes
         uppers = [[] for _ in masks]
         for b in reversed(range(len(masks))):
-            y, candidates = masks[b], handed[b]
+            candidates = handed[b]
+            if candidates is None:
+                continue
             handed[b] = None
-            below = {y & w for w in (generators if candidates is None else candidates)}
-            below.discard(y)
-            covers = []
-            for z in sorted(below, key=int.bit_count, reverse=True):
-                for w in covers:
-                    if z & w == z:
-                        break
-                else:
-                    covers.append(z)
-                    a = position[z]
+            y, outside = masks[b], masks[comp[b]]
+            below: dict[int, int] = {}
+            for w, q in candidates.items():
+                z = y & w
+                below[z] = below.get(z, 0) | q
+            # the processes of ~y give y itself here, and z itself inside any z
+            below.pop(y, None)
+            for z, q in below.items():
+                a = position[z]
+                if masks[comp[a]] == outside | q:
                     uppers[a].append(b)
-                    if handed[a] is None:
+                    if searched[a] and handed[a] is None:
                         handed[a] = below
-        return [(a, b) for a, ups in enumerate(uppers) for b in reversed(ups)]
+                    if not searched[comp[a]]:
+                        uppers[comp[b]].append(comp[a])
+        for ups in uppers:
+            ups.sort()
+        return [(a, b) for a, ups in enumerate(uppers) for b in ups]
 
     def _fmt(self, index: int) -> str:
         return format_members(self.structure.sorted_names_of(self.masks[index]))
@@ -280,13 +313,22 @@ class OrthoLattice:
         }
 
     def to_dot(self) -> str:
-        lines = ["digraph ortholattice {", "  rankdir=BT;"]
-        for i in range(len(self.masks)):
-            lines.append(f'  n{i} [label="{self._fmt(i)}"];')
-        for a, b in self.hasse_edges():
-            lines.append(f"  n{a} -> n{b};")
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+        out = io.StringIO()
+        self._write_dot(out)
+        return out.getvalue()
+
+    def _write_dot(self, out: IO[str]) -> None:
+        """The Hasse diagram in Graphviz DOT, bottom up: the node lines in one
+        piece, then the edge lines as one format over the flattened cover
+        pairs, so that no string is made per edge."""
+        sorted_names_of = self.structure.sorted_names_of
+        edges = self.hasse_edges()
+        out.write("digraph ortholattice {\n  rankdir=BT;\n")
+        out.write("".join([
+            f'  n{i} [label="{format_members(sorted_names_of(m))}"];\n' for i, m in enumerate(self.masks)
+        ]))
+        out.write("  n%d -> n%d;\n" * len(edges) % tuple(chain.from_iterable(edges)))
+        out.write("}\n")
 
 
 def _scan_axioms(lat: OrthoLattice):

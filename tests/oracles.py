@@ -2,12 +2,13 @@
 
 Everything here recomputes results directly from definitions, by plain
 enumeration over subsets, tuples or fixpoint iteration.  ``canonical_key``
-sorts closed sets by a tuple of member ordinals, the reference for the int
-key of ``enumerate_closed``.  The law scans try
+sorts closed sets by a tuple of member ordinals, the reference for the
+two-pass sort of ``enumerate_closed``.  The law scans try
 every element pair or triple of an ``OrthoLattice``, the reference for
 ``OrthoLattice.check_laws``, which decides most verdicts without them.
 ``generator_covers`` searches each element's covers among its meets with
-every generator, the reference for the top-down ``hasse_edges``.  The
+every generator, the reference for ``hasse_edges``, which searches half the
+lattice from the top down and mirrors the rest.  The
 oracle filter, the recursive-descent formula parser (its tree's post-order
 walk is the postfix program), the two recursive evaluators, the
 substitution-based law comparison, the list-based trace generator and the
@@ -141,7 +142,7 @@ def bit_indices(mask):
 
 def canonical_key(mask):
     """Cardinality, then the sorted member ordinals: the reference for the
-    single int key ``enumerate_closed`` sorts by."""
+    order ``enumerate_closed`` sorts into."""
     return (mask.bit_count(), tuple(bit_indices(mask)))
 
 
@@ -160,7 +161,7 @@ def generator_covers(lat: OrthoLattice):
     """Cover pairs (lower index, upper index), sorted, from every generator:
     the lower covers of y are the maximal y & N_p other than y, kept largest
     first when they lie inside no cover kept so far.  The reference for the
-    top-down search of ``OrthoLattice.hasse_edges``, at sizes where
+    mirrored top-down search of ``OrthoLattice.hasse_edges``, at sizes where
     ``brute_covers`` is too slow."""
     generators = dict.fromkeys(lat.structure.causality_masks)
     position = lat._position

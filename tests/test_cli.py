@@ -353,15 +353,17 @@ def test_lattice_json_is_the_library_dict_export(cli, tmp_path, text):
     assert cli("lattice", str(path), "--format", "json") == (0, expected, "")
 
 
-@pytest.mark.parametrize("text", [CHAIN_10, serialize_trace(gen_random(3, 6, 8, 10))],
-                         ids=["chain-10", "random-2290"])
-def test_lattice_json_export_holds_little_beyond_its_output(tmp_path, text):
-    """Writing the JSON text from names quoted once, rather than through one
-    ``json.dumps`` of the whole payload, keeps the request's allocation peak
-    under ten times the output's length."""
+EXPORT_PEAK_TEXTS = pytest.mark.parametrize(
+    "text", [CHAIN_10, serialize_trace(gen_random(3, 6, 8, 10))], ids=["chain-10", "random-2290"]
+)
+
+
+def _export_peak_ratio(tmp_path, text, fmt):
+    """The tracemalloc peak of one ``lattice --format fmt`` request, after a
+    warm-up request, over the length of its output."""
     path = tmp_path / "export.trace"
     path.write_text(text)
-    argv = ["lattice", str(path), "--format", "json"]
+    argv = ["lattice", str(path), "--format", fmt]
     with contextlib.redirect_stdout(io.StringIO()):
         main(argv)
     out = io.StringIO()
@@ -372,7 +374,24 @@ def test_lattice_json_export_holds_little_beyond_its_output(tmp_path, text):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 10 * len(out.getvalue())
+    return peak / len(out.getvalue())
+
+
+@EXPORT_PEAK_TEXTS
+def test_lattice_json_export_holds_little_beyond_its_output(tmp_path, text):
+    """Writing the JSON text from names quoted once, rather than through one
+    ``json.dumps`` of the whole payload, keeps the request's allocation peak
+    under ten times the output's length."""
+    assert _export_peak_ratio(tmp_path, text, "json") < 10
+
+
+@EXPORT_PEAK_TEXTS
+def test_lattice_dot_export_holds_little_beyond_its_output(tmp_path, text):
+    """The DOT text is written as the node lines in one piece and the edge
+    lines as one format over the cover pairs, with no list of lines or string
+    per edge: the request's allocation peak stays under six times the output's
+    length (7.6 and 6.7 times when every line was listed and joined)."""
+    assert _export_peak_ratio(tmp_path, text, "dot") < 6
 
 
 def test_eval_ortho_text(cli):

@@ -352,6 +352,71 @@ def test_hasse_edges_boolean_2048():
     assert edges == sorted(reference)
 
 
+@st.composite
+def cover_lattices(draw):
+    """The lattice of a small timed (gen_random), untimed, twins or barrier
+    trace: at most 128 elements, so that ``brute_covers`` runs."""
+    kind = draw(st.sampled_from(["timed", "untimed", "twins", "barrier"]))
+    if kind == "twins":
+        trace = twins_trace(draw(st.integers(1, 6)), draw(st.integers(0, 8)))
+    elif kind == "barrier":
+        trace = barrier_trace(draw(st.integers(2, 5)), draw(st.integers(1, 7)))
+    else:
+        make = random_trace if kind == "timed" else untimed_trace
+        shape = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(0, 8))
+        trace = make(draw(st.integers(0, 10**6)), *shape)
+    try:
+        return enumerate_closed(happened_before(trace), cap=128)
+    except CapExceededError:
+        hypothesis.reject()
+
+
+@hypothesis.settings(max_examples=60, deadline=None)
+@hypothesis.given(cover_lattices())
+def test_mirrored_covers_are_brute_covers(lattice):
+    """The covers searched over the upper half and mirrored through the
+    complement are the per-generator search's, and each mirrored edge, whose
+    upper end b has |b| < |~b|, is a cover by comparing every triple."""
+    edges = lattice.hasse_edges()
+    assert edges == generator_covers(lattice)
+    masks, comp, elements = lattice.masks, lattice.complement, lattice.elements
+    mirrored = {
+        (elements[a], elements[b]) for a, b in edges if masks[b].bit_count() < masks[comp[b]].bit_count()
+    }
+    assert mirrored <= brute_covers(set(elements))
+
+
+def test_hasse_edges_need_an_involutive_complement(fig7_lattice):
+    """fig7 with the unclosed {p1, q1} added: every ortho_mask is an element,
+    but the complement is not an involution, so no cover is mirrored."""
+    cs = fig7_lattice.structure
+    unclosed = OrthoLattice(cs, fig7_lattice.masks[:-1] + (cs.mask_of({"p1", "q1"}), cs.full_mask))
+    unclosed.complement
+    for export in (unclosed.hasse_edges, unclosed.to_dot):
+        with pytest.raises(ValueError, match="involution"):
+            export()
+
+
+@hypothesis.settings(max_examples=30, deadline=None)
+@hypothesis.given(st.integers(1, 6), st.integers(0, 8))
+def test_twin_skipping_complement_on_twins(k, m):
+    """The complement ANDs one row per twin class; it is the quantified
+    orthocomplement of every element."""
+    cs = happened_before(twins_trace(k, m))
+    lattice = enumerate_closed(cs)
+    for element, c in zip(lattice.elements, lattice.complement):
+        assert lattice.elements[c] == brute_ortho(cs, element)
+
+
+@pytest.mark.parametrize("trace", [twins_trace(10, 500), barrier_trace(40, 6)], ids=["twins-10-500", "barrier-40-6"])
+def test_twin_skipping_complement_past_the_brute_force(trace):
+    """510 and 240 processes in 11 and 6 twin classes: each complement is the
+    member-by-member ``ortho_mask``."""
+    cs = happened_before(trace)
+    lattice = enumerate_closed(cs)
+    assert [lattice.masks[c] for c in lattice.complement] == [ortho_mask(cs, m) for m in lattice.masks]
+
+
 def test_check_laws_fig7(fig7_lattice):
     assert fig7_lattice.check_laws("ortholattice-axioms").holds
     assert fig7_lattice.check_laws("de-morgan").holds
