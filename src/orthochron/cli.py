@@ -185,7 +185,7 @@ def _cmd_lattice(args: argparse.Namespace, out: IO[str]) -> int:
         out.write(", ".join(["[%d, %d]"] * len(edges)) % tuple(chain.from_iterable(edges)))
         out.write("]}\n")
     elif args.format == "dot":
-        lattice._write_dot(out)
+        out.write(lattice.to_dot())
     else:
         sorted_names_of = lattice.structure.sorted_names_of
         out.write("".join(f"{format_members(sorted_names_of(m))}\n" for m in lattice.masks))

@@ -14,7 +14,9 @@ below y is the meet of the N_q, q in ortho(z); one misses y, so z lies in
 y & N_q, closed and below y.  A candidate z is maximal iff ~z = ~y | Q_z, Q_z
 being the processes q with y & N_q = z (Lindig, "Fast concept analysis",
 2000): each q in ~z outside ~y has z inside y & N_q, strictly below y, and a
-closed w strictly between z and y gives a q in ~w outside ~y and Q_z.  The
+closed w strictly between z and y gives a q in ~w outside ~y and Q_z.  This
+reads ~z as the processes whose neighborhoods hold z, which needs a symmetric
+causality relation.  The
 covers are searched from the top down: a lower cover z of y has
 z & N_p = z & (y & N_p), so z draws its candidates, with their Q, from the
 few distinct y & N_p of the first upper cover y found for it, not from every
@@ -32,13 +34,12 @@ by sorted member ordinals.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
-from typing import IO, Iterable
+from itertools import chain, compress
+from typing import Iterable
 
-from .causal_core import CausalStructure
+from .causal_core import CausalStructure, _selectors
 
 DEFAULT_CAP = 1_000_000
 
@@ -183,6 +184,11 @@ class OrthoLattice:
         return tuple(indices)
 
     @cached_property
+    def _involutive(self) -> bool:
+        comp = self.complement
+        return all(comp[c] == i for i, c in enumerate(comp))
+
+    @cached_property
     def elements(self) -> tuple[frozenset[str], ...]:
         return tuple([self.structure.names_of(m) for m in self.masks])
 
@@ -235,20 +241,21 @@ class OrthoLattice:
         return self.complement[self._meet_index(self.complement[i], self.complement[j])]
 
     def hasse_edges(self) -> list[tuple[int, int]]:
-        """Cover pairs (lower index, upper index), ascending.  Only the up-set
-        S = {y : |y| >= |~y|} is searched, from the top down: a candidate
-        z = y & N_p != y is a lower cover iff ~z = ~y | Q_z, Q_z the processes
-        q with y & N_q = z.  Each element of S takes its candidates, with
-        their Q, from the first upper cover found for it (for z inside y,
-        z & N_p = z & (y & N_p)); the top takes the twin classes.  A cover
-        (z, y) is mirrored as (~y, ~z) when ~z is outside S.  Raises
-        ValueError if the complement is not an involution."""
+        """Cover pairs (lower index, upper index), ascending, searched over the
+        up-set S and mirrored as the module docstring sets out; the top takes
+        the twin classes as its candidates.  Raises ValueError unless the
+        causality rows are symmetric and the complement is an involution."""
         masks, position, comp = self.masks, self._position, self.complement
-        if [comp[c] for c in comp] != list(range(len(comp))):
-            raise ValueError("Hasse covers need an orthocomplement that is an involution")
+        rows, classes = self.structure.causality_masks, self._twin_classes
+        processes = range(len(rows))
+        # q in N_p gives p in N_q for p's whole twin class c
+        if not self._involutive or any(
+            rows[q] & c != c for row, c in classes.items() for q in compress(processes, _selectors(row))
+        ):
+            raise ValueError("Hasse covers need symmetric causality rows and a complement that is an involution")
         searched = [m.bit_count() >= masks[c].bit_count() for m, c in zip(masks, comp)]
         handed = [None] * len(masks)
-        handed[-1] = self._twin_classes
+        handed[-1] = classes
         uppers = [[] for _ in masks]
         for b in reversed(range(len(masks))):
             candidates = handed[b]
@@ -287,7 +294,7 @@ class OrthoLattice:
         return (
             self.masks[-1] == cs.full_mask
             and pos.keys() >= {m & g for m in self.masks for g in generators}
-            and all(self.complement[c] == i for i, c in enumerate(self.complement))
+            and self._involutive
         )
 
     def check_laws(self, law: str) -> LawCheck:
@@ -313,22 +320,13 @@ class OrthoLattice:
         }
 
     def to_dot(self) -> str:
-        out = io.StringIO()
-        self._write_dot(out)
-        return out.getvalue()
-
-    def _write_dot(self, out: IO[str]) -> None:
-        """The Hasse diagram in Graphviz DOT, bottom up: the node lines in one
-        piece, then the edge lines as one format over the flattened cover
-        pairs, so that no string is made per edge."""
-        sorted_names_of = self.structure.sorted_names_of
+        """The Hasse diagram in Graphviz DOT, bottom up: the node lines joined,
+        then the edge lines as one format over the flattened cover pairs, so
+        that no string is made per edge."""
         edges = self.hasse_edges()
-        out.write("digraph ortholattice {\n  rankdir=BT;\n")
-        out.write("".join([
-            f'  n{i} [label="{format_members(sorted_names_of(m))}"];\n' for i, m in enumerate(self.masks)
-        ]))
-        out.write("  n%d -> n%d;\n" * len(edges) % tuple(chain.from_iterable(edges)))
-        out.write("}\n")
+        nodes = "".join([f'  n{i} [label="{self._fmt(i)}"];\n' for i in range(len(self.masks))])
+        edge_lines = "  n%d -> n%d;\n" * len(edges) % tuple(chain.from_iterable(edges))
+        return f"digraph ortholattice {{\n  rankdir=BT;\n{nodes}{edge_lines}}}\n"
 
 
 def _scan_axioms(lat: OrthoLattice):

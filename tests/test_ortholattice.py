@@ -352,11 +352,23 @@ def test_hasse_edges_boolean_2048():
     assert edges == sorted(reference)
 
 
+def _symmetric(rows):
+    return all((rows[p] >> q & 1) == (rows[q] >> p & 1) for p in range(len(rows)) for q in range(len(rows)))
+
+
 @st.composite
 def cover_lattices(draw):
     """The lattice of a small timed (gen_random), untimed, twins or barrier
-    trace: at most 128 elements, so that ``brute_covers`` runs."""
-    kind = draw(st.sampled_from(["timed", "untimed", "twins", "barrier"]))
+    trace, or of hand-built causality rows, made symmetric or not: at most
+    128 elements, so that ``brute_covers`` runs."""
+    kind = draw(st.sampled_from(["timed", "untimed", "twins", "barrier", "rows"]))
+    if kind == "rows":
+        n = draw(st.integers(2, 5))
+        rows = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n))
+        if draw(st.booleans()):
+            rows = [row | sum((rows[q] >> p & 1) << q for q in range(n)) for p, row in enumerate(rows)]
+        names = tuple(f"p{i}" for i in range(n))
+        return enumerate_closed(CausalStructure(names, (0,) * n, tuple(rows)))
     if kind == "twins":
         trace = twins_trace(draw(st.integers(1, 6)), draw(st.integers(0, 8)))
     elif kind == "barrier":
@@ -376,7 +388,12 @@ def cover_lattices(draw):
 def test_mirrored_covers_are_brute_covers(lattice):
     """The covers searched over the upper half and mirrored through the
     complement are the per-generator search's, and each mirrored edge, whose
-    upper end b has |b| < |~b|, is a cover by comparing every triple."""
+    upper end b has |b| < |~b|, is a cover by comparing every triple.  Rows
+    that are not symmetric raise ValueError instead."""
+    if not _symmetric(lattice.structure.causality_masks):
+        with pytest.raises(ValueError, match="symmetric"):
+            lattice.hasse_edges()
+        return
     edges = lattice.hasse_edges()
     assert edges == generator_covers(lattice)
     masks, comp, elements = lattice.masks, lattice.complement, lattice.elements
@@ -394,6 +411,19 @@ def test_hasse_edges_need_an_involutive_complement(fig7_lattice):
     unclosed.complement
     for export in (unclosed.hasse_edges, unclosed.to_dot):
         with pytest.raises(ValueError, match="involution"):
+            export()
+
+
+def test_hasse_edges_need_symmetric_rows():
+    """c relates to a, but a not to c: the complement {}, {a}, {b, c}, {a, b, c}
+    is an involution and a & ~a = 0 holds, yet ~z is not the set of processes
+    whose rows hold z, so the complement test would drop the covers
+    {} < {b, c} and {a} < {a, b, c}; the exports raise instead."""
+    lattice = enumerate_closed(CausalStructure(("a", "b", "c"), (0, 0, 0), (0b110, 0b001, 0b111)))
+    assert lattice._involutive
+    assert generator_covers(lattice) == [(0, 1), (0, 2), (1, 3), (2, 3)]
+    for export in (lattice.hasse_edges, lattice.to_dot, lattice.to_json_dict):
+        with pytest.raises(ValueError, match="symmetric"):
             export()
 
 

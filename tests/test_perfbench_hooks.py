@@ -73,3 +73,16 @@ def test_lattice_export_opens_one_covers_span(capsys, fmt):
     capsys.readouterr()
     # downset_masks opens this span too; rendering must not build it
     assert [s.name for s in tracer.spans].count("ortholattice.covers") == 1
+
+
+def test_lattice_dot_opens_one_render_span(capsys):
+    """``lattice --format dot`` writes the text of the traced ``to_dot``, so
+    the benchmark's render layer sees it."""
+    tracer = Tracer()
+    tracer.install()
+    try:
+        tracer.request(main, ["lattice", str(fixture_path("fig2.trace")), "--format", "dot"])
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert [s.name for s in tracer.spans].count("ortholattice.render") == 1
