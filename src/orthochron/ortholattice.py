@@ -5,18 +5,20 @@ The orthocomplement of a set is the intersection of the causality
 neighborhoods of its members (the empty intersection being the full process
 set).  Every orthocomplement is itself closed, so the closed sets are
 exactly the intersection closure of the neighborhoods together with the
-full set: the Moore family generated by the P neighborhoods, enumerated by
-intersecting the whole family with one distinct generator per pass, smallest
-first.  Processes with one neighborhood ("twins") contribute one AND to a
-complement.  The generators give the Hasse covers too: the lower covers of a
-closed y are the maximal sets y & N_p other than y, for a closed z strictly
-below y is the meet of the N_q, q in ortho(z); one misses y, so z lies in
-y & N_q, closed and below y.  A candidate z is maximal iff ~z = ~y | Q_z, Q_z
-being the processes q with y & N_q = z (Lindig, "Fast concept analysis",
-2000): each q in ~z outside ~y has z inside y & N_q, strictly below y, and a
-closed w strictly between z and y gives a q in ~w outside ~y and Q_z.  This
-reads ~z as the processes whose neighborhoods hold z, which needs a symmetric
-causality relation.  The
+full set: the Moore family generated by the P neighborhoods.  It is closed
+from the full set alone, intersecting the whole family with one distinct
+generator per pass, smallest first: after pass i it is the Moore family of
+the first i generators, so a pass adds only closed sets, and the result is
+closed by construction.  Processes with one neighborhood ("twins")
+contribute one AND to a complement.  The generators give the Hasse covers
+too: the lower covers of a closed y are the maximal sets y & N_p other than
+y, for a closed z strictly below y is the meet of the N_q, q in ortho(z); one
+misses y, so z lies in y & N_q, closed and below y.  A candidate z is
+maximal iff ~z = ~y | Q_z, Q_z being the processes q with y & N_q = z
+(Lindig, "Fast concept analysis", 2000): each q in ~z outside ~y has z
+inside y & N_q, strictly below y, and a closed w strictly between z and y
+gives a q in ~w outside ~y and Q_z.  This reads ~z as the processes whose
+neighborhoods hold z, which needs a symmetric causality relation.  The
 covers are searched from the top down: a lower cover z of y has
 z & N_p = z & (y & N_p), so z draws its candidates, with their Q, from the
 few distinct y & N_p of the first upper cover y found for it, not from every
@@ -102,26 +104,33 @@ def _canonical_order(family: Iterable[int], width: int) -> tuple[int, ...]:
 def enumerate_closed(cs: CausalStructure, cap: int = DEFAULT_CAP) -> OrthoLattice:
     """Enumerate every closed set as a Moore family.
 
-    Seeds the family with the full set and all neighborhoods, then, for each
-    distinct neighborhood in turn, smallest first, adds its intersection with
-    every member so far in one pass; after the last one the family is closed
-    under intersection.  Raises CapExceededError if the seeds exceed ``cap``, or
-    after the first pass that leaves more than ``cap`` elements.  Added one at
-    a time, that family would first have exceeded the cap at ``cap + 1``
-    elements, the count reported; a pass may hold up to ``cap`` extra sets
-    before its check.
+    Starts from the full set alone and, for each distinct neighborhood in turn,
+    smallest first, adds its intersection with every member so far in one pass;
+    after pass i the family is the Moore family of the first i neighborhoods,
+    so each pass only adds sets of the final family, and after the last one
+    the family is closed under intersection.  The lattice is marked as closed
+    under meeting every neighborhood, so its certificate checks only the
+    complement.  Raises CapExceededError if the seeds, the full set and the
+    distinct neighborhoods, exceed ``cap``, with their count, or after the
+    first pass that leaves more than ``cap`` elements.  Added one at a time,
+    that family would first have exceeded the cap at ``cap + 1`` elements, the
+    count reported; a pass may hold up to ``cap`` extra sets before its check.
     """
     if cap <= 0:
         raise ValueError("cap must be positive")
-    generators = sorted(dict.fromkeys(cs.causality_masks), key=int.bit_count)
-    family = {cs.full_mask, *generators}
-    if len(family) > cap:
-        raise CapExceededError(cap, len(family))
-    for generator in generators:
+    distinct = dict.fromkeys(cs.causality_masks)
+    seeds = len(distinct) + (cs.full_mask not in distinct)
+    if seeds > cap:
+        raise CapExceededError(cap, seeds)
+    family = {cs.full_mask}
+    for generator in sorted(distinct, key=int.bit_count):
         family |= {member & generator for member in family}
         if len(family) > cap:
             raise CapExceededError(cap, cap + 1)
-    return OrthoLattice(cs, _canonical_order(family, cs.size))
+    lattice = OrthoLattice(cs, _canonical_order(family, cs.size))
+    # the slot cached_property fills: closed by construction, not re-proved
+    lattice.__dict__["_meet_closed"] = True
+    return lattice
 
 
 def format_members(names: Iterable[str]) -> str:
@@ -243,11 +252,14 @@ class OrthoLattice:
     def hasse_edges(self) -> list[tuple[int, int]]:
         """Cover pairs (lower index, upper index), ascending, searched over the
         up-set S and mirrored as the module docstring sets out; the top takes
-        the twin classes as its candidates.  Raises ValueError unless the
-        causality rows are symmetric and the complement is an involution."""
+        the twin classes as its candidates.  Raises ValueError unless the family
+        is not empty, the causality rows are symmetric, the complement is an
+        involution and every meet searched is an element."""
         masks, position, comp = self.masks, self._position, self.complement
         rows, classes = self.structure.causality_masks, self._twin_classes
         processes = range(len(rows))
+        if not masks:
+            raise ValueError("Hasse covers need a nonempty family")
         # q in N_p gives p in N_q for p's whole twin class c
         if not self._involutive or any(
             rows[q] & c != c for row, c in classes.items() for q in compress(processes, _selectors(row))
@@ -270,7 +282,13 @@ class OrthoLattice:
             # the processes of ~y give y itself here, and z itself inside any z
             below.pop(y, None)
             for z, q in below.items():
-                a = position[z]
+                try:
+                    a = position[z]
+                except KeyError:
+                    meet = format_members(self.structure.sorted_names_of(z))
+                    raise ValueError(
+                        f"the meet {meet} of {self._fmt(b)} and a neighborhood is not an element of this lattice"
+                    ) from None
                 if masks[comp[a]] == outside | q:
                     uppers[a].append(b)
                     if searched[a] and handed[a] is None:
@@ -285,17 +303,20 @@ class OrthoLattice:
         return format_members(self.structure.sorted_names_of(self.masks[index]))
 
     @cached_property
+    def _meet_closed(self) -> bool:
+        """Whether every m & N_p is an element (so every ortho_mask is one), in
+        n*P' intersections over the distinct rows; ``enumerate_closed`` fills
+        this in for the family it closed, so only a hand-built lattice pays."""
+        return self._position.keys() >= {m & g for m in self.masks for g in self._twin_classes}
+
+    @cached_property
     def _certified(self) -> bool:
-        """Whether this is the closed-set family of its structure, in O(n*P): the top is
-        full, every m & N_p is an element (so every ortho_mask is one), and the
-        complement is an involution (so every element is closed)."""
-        cs, pos = self.structure, self._position
-        generators = dict.fromkeys(cs.causality_masks)
-        return (
-            self.masks[-1] == cs.full_mask
-            and pos.keys() >= {m & g for m in self.masks for g in generators}
-            and self._involutive
-        )
+        """Whether this is the closed-set family of its structure: the top is
+        full, the family is closed under meeting every neighborhood, and the
+        complement is an involution (so every element is closed).  A lattice
+        from ``enumerate_closed`` is closed by construction, so only its
+        complement is checked."""
+        return self.masks[-1:] == (self.structure.full_mask,) and self._meet_closed and self._involutive
 
     def check_laws(self, law: str) -> LawCheck:
         """Decide one law over the whole lattice and scan only a failing one, for the

@@ -3,9 +3,12 @@
 Everything here recomputes results directly from definitions, by plain
 enumeration over subsets, tuples or fixpoint iteration.  ``canonical_key``
 sorts closed sets by a tuple of member ordinals, the reference for the
-two-pass sort of ``enumerate_closed``.  The law scans try
-every element pair or triple of an ``OrthoLattice``, the reference for
-``OrthoLattice.check_laws``, which decides most verdicts without them.
+two-pass sort of ``enumerate_closed``; ``certified`` checks a family's
+closure and complement in full, the reference for the lattice's
+certificate, which trusts ``enumerate_closed`` to have closed its family.
+The law scans try every element pair or triple of an ``OrthoLattice``, the
+reference for ``OrthoLattice.check_laws``, which decides most verdicts
+without them.
 ``generator_covers`` searches each element's covers among its meets with
 every generator, the reference for ``hasse_edges``, which searches half the
 lattice from the top down and mirrors the rest.  The
@@ -109,25 +112,27 @@ def next_closure(cs):
     highest process i outside A such that B = ((A below i) + i)'' adds no
     process below i; B is the next.  It shares no code with the generator
     closure of ``enumerate_closed``."""
-    rows, full = cs.causality_masks, cs.full_mask
-
-    def prime(mask):
-        out = full
-        for i in bit_indices(mask):
-            out &= rows[i]
-        return out
-
-    family = [prime(full)]
+    full = cs.full_mask
+    family = [prime(cs, full)]
     while family[-1] != full:
         a = family[-1]
         for i in reversed(range(cs.size)):
             below = (1 << i) - 1
             if not a >> i & 1:
-                b = prime(prime(a & below | 1 << i))
+                b = prime(cs, prime(cs, a & below | 1 << i))
                 if b & below == a & below:
                     family.append(b)
                     break
     return family
+
+
+def prime(cs, mask):
+    """A' for the processes A of a mask: those related to all of A, the AND
+    of A's causality rows."""
+    out = cs.full_mask
+    for i in bit_indices(mask):
+        out &= cs.causality_masks[i]
+    return out
 
 
 def bit_indices(mask):
@@ -144,6 +149,21 @@ def canonical_key(mask):
     """Cardinality, then the sorted member ordinals: the reference for the
     order ``enumerate_closed`` sorts into."""
     return (mask.bit_count(), tuple(bit_indices(mask)))
+
+
+def certified(lat: OrthoLattice):
+    """The full three-part certificate of a family, member by member: its
+    last member is the full set, every member meets every causality row
+    inside the family, and the orthocomplement of every member, the AND of
+    its members' rows, is a member whose own orthocomplement is the member
+    again.  The reference for ``OrthoLattice._certified``, which trusts
+    ``enumerate_closed`` for the second part."""
+    cs, family = lat.structure, set(lat.masks)
+    return (
+        lat.masks[-1:] == (cs.full_mask,)
+        and all(m & row in family for m in family for row in cs.causality_masks)
+        and all(prime(cs, m) in family and prime(cs, prime(cs, m)) == m for m in family)
+    )
 
 
 def brute_covers(family):

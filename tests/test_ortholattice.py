@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import re
 import time
@@ -37,6 +38,7 @@ from oracles import (
     brute_covers,
     brute_ortho,
     canonical_key,
+    certified,
     generator_covers,
     next_closure,
     twins_lattice,
@@ -515,7 +517,7 @@ LAW_CASES = (
 @pytest.mark.parametrize("kind, n", LAW_CASES)
 def test_check_laws_match_reference_scans(kind, n):
     lattice = enumerate_closed(happened_before(_law_case(kind, n)))
-    assert lattice._certified
+    assert lattice._certified and certified(lattice)
     for law in LAWS:
         if law == "distributivity" and len(lattice) > 128:
             # a Boolean algebra is distributive; the reference scan needs ~15 s here
@@ -591,7 +593,7 @@ def test_distributivity_where_the_axioms_fail():
     sets {}, {a}, {a, b} pass the certificate, but {a} & ~{a} = {a}, so the
     scan alone decides distributivity."""
     lattice = enumerate_closed(CausalStructure(("a", "b"), (0, 0), (0b01, 0b00)))
-    assert lattice._certified
+    assert lattice._certified and certified(lattice)
     assert not lattice.check_laws("ortholattice-axioms").holds
     law = "distributivity"
     assert lattice.check_laws(law) == _reference_check(lattice, law)
@@ -604,7 +606,7 @@ def test_check_laws_reject_uncertified_lattices(mo2_lattice, fig7_lattice):
     # only the bottom and the top of mo2: not closed under meeting a neighbourhood
     ends = OrthoLattice(mo2_lattice.structure, (0, mo2_lattice.structure.full_mask))
     for lattice in (unclosed, ends):
-        assert not lattice._certified
+        assert not lattice._certified and not certified(lattice)
         for law in ("ortholattice-axioms", "de-morgan", "distributivity"):
             with pytest.raises(ValueError, match=f"^{law} is decided only on the closed-set"):
                 lattice.check_laws(law)
@@ -613,13 +615,100 @@ def test_check_laws_reject_uncertified_lattices(mo2_lattice, fig7_lattice):
     # mo2's bottom, {p1} and top: the orthocomplement of {p1} is missing
     mo2 = mo2_lattice.structure
     partial = OrthoLattice(mo2, (0, mo2.mask_of({"p1"}), mo2.full_mask))
-    assert not partial._certified
+    assert not partial._certified and not certified(partial)
     for law in LAWS:
         message = "the orthocomplement of {p1} is not an element of this lattice"
         if law != "orthomodularity":
             message = f"{law} is decided only on the closed-set"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
             partial.check_laws(law)
+
+
+def test_hand_built_families_raise_value_errors(mo2_lattice):
+    """Only mo2's bottom and top: every complement is an element, but the top
+    meets a neighbourhood outside the family, and the exports name that meet.
+    An empty family fails the certificate and the cover search.  Neither
+    raises KeyError or IndexError."""
+    mo2 = mo2_lattice.structure
+    ends = OrthoLattice(mo2, (0, mo2.full_mask))
+    empty = OrthoLattice(mo2, ())
+    cases = (
+        (ends, "the meet {p2} of {p1, p2, q1, q2} and a neighborhood is not an element of this lattice"),
+        (empty, "Hasse covers need a nonempty family"),
+    )
+    for lattice, message in cases:
+        for export in (lattice.hasse_edges, lattice.to_dot, lattice.to_json_dict):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                export()
+    assert not empty._certified and not certified(empty)
+    for law in LAWS:
+        if law == "orthomodularity":
+            assert empty.check_laws(law) == _reference_check(empty, law)
+            continue
+        with pytest.raises(ValueError, match=f"^{law} is decided only on the closed-set"):
+            empty.check_laws(law)
+
+
+def test_enumerated_lattices_are_closed_by_construction(fig7_lattice):
+    """enumerate_closed fills in the closure part of the certificate; a copy
+    made by dataclasses.replace is hand-built and pays the full check."""
+    lattice = enumerate_closed(fig7_lattice.structure)
+    assert lattice.__dict__["_meet_closed"] is True
+    assert "_certified" not in lattice.__dict__
+    copy = dataclasses.replace(lattice)
+    assert "_meet_closed" not in copy.__dict__
+    assert copy._certified and copy.__dict__["_meet_closed"] is True
+    assert lattice._certified and certified(lattice)
+
+
+@st.composite
+def certificate_cases(draw):
+    """The lattice of a small timed (gen_random), untimed, barrier or twins
+    trace, or of hand-built rows on 1-5 processes, made reflexive and made
+    symmetric on drawn coins; or, on a third coin, a hand-built family: that
+    lattice with up to three sets dropped and three arbitrary ones added, in
+    canonical order or shuffled."""
+    kind = draw(st.sampled_from(["timed", "untimed", "barrier", "twins", "rows"]))
+    if kind == "rows":
+        n = draw(st.integers(1, 5))
+        rows = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n))
+        if draw(st.booleans()):
+            rows = [row | 1 << p for p, row in enumerate(rows)]
+        if draw(st.booleans()):
+            rows = [row | sum((rows[q] >> p & 1) << q for q in range(n)) for p, row in enumerate(rows)]
+        cs = CausalStructure(tuple(f"p{i}" for i in range(n)), (0,) * n, tuple(rows))
+    else:
+        if kind == "twins":
+            trace = twins_trace(draw(st.integers(1, 5)), draw(st.integers(0, 6)))
+        elif kind == "barrier":
+            trace = barrier_trace(draw(st.integers(2, 4)), draw(st.integers(1, 6)))
+        else:
+            make = random_trace if kind == "timed" else untimed_trace
+            shape = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(0, 8))
+            trace = make(draw(st.integers(0, 10**6)), *shape)
+        cs = happened_before(trace)
+    try:
+        lattice = enumerate_closed(cs, cap=128)
+    except CapExceededError:
+        hypothesis.reject()
+    if not draw(st.booleans()):
+        return lattice
+    closed = set(lattice.masks)
+    dropped = draw(st.sets(st.sampled_from(sorted(closed)), max_size=3))
+    added = draw(st.sets(st.integers(0, cs.full_mask), max_size=3))
+    family = sorted((closed - dropped) | added, key=canonical_key)
+    if draw(st.booleans()):
+        family = draw(st.permutations(family))
+    return OrthoLattice(cs, tuple(family))
+
+
+@hypothesis.settings(max_examples=150, deadline=None)
+@hypothesis.given(certificate_cases())
+def test_certificate_is_the_full_check(lattice):
+    """The certificate, which trusts enumerate_closed's closure, gives the
+    oracle's full three-part verdict on enumerated lattices and hand-built
+    families alike."""
+    assert lattice._certified == certified(lattice)
 
 
 def test_law_decisions_scale():
@@ -668,17 +757,32 @@ def test_cap_guard(fig2):
     assert excinfo.value.count == len(lattice)
 
 
+# a related to everyone, itself included: its row is the full set, so the
+# seeds are the three distinct rows alone
+FULL_ROW = CausalStructure(("a", "b", "c"), (0, 0, 0), (0b111, 0b011, 0b101))
+
+
 @pytest.mark.parametrize(
     "trace",
-    [load_fixture("fig2.trace"), *(random_trace(seed, 3, 3, seed) for seed in range(1, 5))],
-    ids=["fig2", *(f"random{seed}" for seed in range(1, 5))],
+    [
+        load_fixture("fig2.trace"),
+        *(random_trace(seed, 3, 3, seed) for seed in range(1, 5)),
+        twins_trace(3, 4),
+        barrier_trace(3, 4),
+        FULL_ROW,
+    ],
+    ids=["fig2", *(f"random{seed}" for seed in range(1, 5)), "twins-3-4", "barrier-3-4", "full-row"],
 )
 def test_cap_boundary_of_each_pass(trace):
     """Every cap: the count is the seed family's size when the seeds exceed
     the cap, else cap + 1, as if sets were added one at a time; at the
-    family's size nothing is cut."""
-    cs = happened_before(trace)
+    family's size nothing is cut.  Twins and barrier rounds have fewer
+    distinct rows than processes (7 and 12 processes, 4 rows each), and in
+    the full-row structure the full set is a row; the family is
+    NextClosure's on every shape."""
+    cs = trace if isinstance(trace, CausalStructure) else happened_before(trace)
     masks = enumerate_closed(cs).masks
+    assert masks == tuple(sorted(next_closure(cs), key=canonical_key))
     n = len(masks)
     seeds = len({cs.full_mask, *cs.causality_masks})
     for cap in range(1, n):
@@ -753,7 +857,7 @@ def test_enumeration_matches_brute_force_on_random_traces(seed):
     cs = happened_before(trace)
     lattice = enumerate_closed(cs)
     assert set(lattice.elements) == brute_closed_family(cs)
-    assert lattice._certified
+    assert lattice._certified and certified(lattice)
 
 
 @st.composite
