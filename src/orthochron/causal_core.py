@@ -34,8 +34,9 @@ class _Ordinals(dict):
 
 @dataclass(frozen=True)
 class CausalStructure:
-    """Bitmask rows of happened-before and of the symmetric causality
-    relation over the process names, in ordinal order."""
+    """Bitmask rows of happened-before and of the causality relation over the
+    process names, in ordinal order.  ``happened_before`` makes causality
+    irreflexive and symmetric; ``enumerate_closed`` refuses rows that are not."""
 
     names: tuple[str, ...]
     before_masks: tuple[int, ...]
@@ -44,6 +45,27 @@ class CausalStructure:
     @cached_property
     def _ordinals(self) -> _Ordinals:
         return _Ordinals(zip(self.names, range(len(self.names))))
+
+    @cached_property
+    def _twin_classes(self) -> dict[int, int]:
+        """Each distinct causality row, with the mask of the processes that have it."""
+        classes: dict[int, int] = {}
+        for i, row in enumerate(self.causality_masks):
+            classes[row] = classes.get(row, 0) | 1 << i
+        return classes
+
+    @cached_property
+    def _orthogonal(self) -> bool:
+        """Whether causality, one row per process, is irreflexive and symmetric:
+        over the distinct rows, none holds a process of its twin class c or past
+        the last, and each q it holds has all of c in its row.
+        ``happened_before`` fills this in."""
+        rows, processes = self.causality_masks, range(len(self.names))
+        return len(rows) == len(processes) and all(
+            not (row & c or row >> len(rows))
+            and all(rows[q] & c == c for q in compress(processes, _selectors(row)))
+            for row, c in self._twin_classes.items()
+        )
 
     @property
     def size(self) -> int:
@@ -179,4 +201,7 @@ def happened_before(trace: Trace) -> CausalStructure:
         for j in direct[i]:
             ancestors[j] |= ancestors[i] | 1 << i
     causality = tuple([r | a for r, a in zip(reach, ancestors)])
-    return CausalStructure(names, tuple(reach), causality)
+    structure = CausalStructure(names, tuple(reach), causality)
+    # the slot cached_property fills: a strict order's comparability is orthogonal
+    structure.__dict__["_orthogonal"] = True
+    return structure

@@ -18,8 +18,8 @@ maximal iff ~z = ~y | Q_z, Q_z being the processes q with y & N_q = z
 (Lindig, "Fast concept analysis", 2000): each q in ~z outside ~y has z
 inside y & N_q, strictly below y, and a closed w strictly between z and y
 gives a q in ~w outside ~y and Q_z.  This reads ~z as the processes whose
-neighborhoods hold z, which needs a symmetric causality relation.  The
-covers are searched from the top down: a lower cover z of y has
+neighborhoods hold z, as symmetry gives.  The covers are searched from
+the top down: a lower cover z of y has
 z & N_p = z & (y & N_p), so z draws its candidates, with their Q, from the
 few distinct y & N_p of the first upper cover y found for it, not from every
 generator.  The orthocomplement reverses the order and is an involution, so
@@ -31,17 +31,19 @@ so its mirror lies in S.
 Meet is set intersection; join is the orthocomplement of the meet of the
 orthocomplements, equivalently the least closed superset of the union.
 Elements are kept in canonical order: by cardinality, then lexicographically
-by sorted member ordinals.
+by sorted member ordinals.  Causality must be irreflexive and symmetric, so
+that the closed sets form an ortholattice (Birkhoff, *Lattice Theory*, 1967,
+on polarities); one certificate guards every law and the Hasse covers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, compress
+from itertools import chain
 from typing import Iterable
 
-from .causal_core import CausalStructure, _selectors
+from .causal_core import CausalStructure
 
 DEFAULT_CAP = 1_000_000
 
@@ -108,18 +110,21 @@ def enumerate_closed(cs: CausalStructure, cap: int = DEFAULT_CAP) -> OrthoLattic
     smallest first, adds its intersection with every member so far in one pass;
     after pass i the family is the Moore family of the first i neighborhoods,
     so each pass only adds sets of the final family, and after the last one
-    the family is closed under intersection.  The lattice is marked as closed
-    under meeting every neighborhood, so its certificate checks only the
-    complement.  Raises CapExceededError if the seeds, the full set and the
-    distinct neighborhoods, exceed ``cap``, with their count, or after the
-    first pass that leaves more than ``cap`` elements.  Added one at a time,
-    that family would first have exceeded the cap at ``cap + 1`` elements, the
-    count reported; a pass may hold up to ``cap`` extra sets before its check.
+    the family is closed under intersection, an ortholattice, so it is marked
+    certified.  Raises ValueError unless each process has one irreflexive,
+    symmetric row, and CapExceededError if the seeds, the full set and the
+    distinct neighborhoods, none full, exceed ``cap``, with their count, or
+    after the first pass that leaves more than ``cap`` elements.  Added one at
+    a time, that family would first have exceeded the cap at ``cap + 1``
+    elements, the count reported; a pass may hold up to ``cap`` extra sets
+    before its check.
     """
     if cap <= 0:
         raise ValueError("cap must be positive")
-    distinct = dict.fromkeys(cs.causality_masks)
-    seeds = len(distinct) + (cs.full_mask not in distinct)
+    if not cs._orthogonal:
+        raise ValueError("closed sets are enumerated only over one irreflexive, symmetric causality row per process")
+    distinct = cs._twin_classes
+    seeds = len(distinct) + 1
     if seeds > cap:
         raise CapExceededError(cap, seeds)
     family = {cs.full_mask}
@@ -128,8 +133,8 @@ def enumerate_closed(cs: CausalStructure, cap: int = DEFAULT_CAP) -> OrthoLattic
         if len(family) > cap:
             raise CapExceededError(cap, cap + 1)
     lattice = OrthoLattice(cs, _canonical_order(family, cs.size))
-    # the slot cached_property fills: closed by construction, not re-proved
-    lattice.__dict__["_meet_closed"] = True
+    # the slot cached_property fills: an ortholattice by construction, not re-proved
+    lattice.__dict__["_certified"] = True
     return lattice
 
 
@@ -156,6 +161,10 @@ class OrthoLattice:
     structure: CausalStructure
     masks: tuple[int, ...]
 
+    def __post_init__(self) -> None:
+        if not self.masks:
+            raise ValueError("an ortholattice needs a nonempty family")
+
     def __len__(self) -> int:
         return len(self.masks)
 
@@ -164,20 +173,12 @@ class OrthoLattice:
         return {m: i for i, m in enumerate(self.masks)}
 
     @cached_property
-    def _twin_classes(self) -> dict[int, int]:
-        """Each distinct causality row, with the mask of the processes that have it."""
-        classes: dict[int, int] = {}
-        for i, row in enumerate(self.structure.causality_masks):
-            classes[row] = classes.get(row, 0) | 1 << i
-        return classes
-
-    @cached_property
     def complement(self) -> tuple[int, ...]:
         """For each element, the index of its orthocomplement; ValueError names
         the first element whose orthocomplement is not an element.  A member's
         row is ANDed once for its whole twin class."""
-        cs, pos, classes = self.structure, self._position, self._twin_classes
-        rows, full = cs.causality_masks, cs.full_mask
+        cs, pos = self.structure, self._position
+        rows, full, classes = cs.causality_masks, cs.full_mask, cs._twin_classes
         others = [~classes[row] for row in rows]
         indices = []
         for rest in self.masks:
@@ -191,11 +192,6 @@ class OrthoLattice:
             missing = self._fmt(indices.index(None))
             raise ValueError(f"the orthocomplement of {missing} is not an element of this lattice")
         return tuple(indices)
-
-    @cached_property
-    def _involutive(self) -> bool:
-        comp = self.complement
-        return all(comp[c] == i for i, c in enumerate(comp))
 
     @cached_property
     def elements(self) -> tuple[frozenset[str], ...]:
@@ -252,22 +248,14 @@ class OrthoLattice:
     def hasse_edges(self) -> list[tuple[int, int]]:
         """Cover pairs (lower index, upper index), ascending, searched over the
         up-set S and mirrored as the module docstring sets out; the top takes
-        the twin classes as its candidates.  Raises ValueError unless the family
-        is not empty, the causality rows are symmetric, the complement is an
-        involution and every meet searched is an element."""
+        the twin classes as its candidates.  Raises ValueError on a lattice that
+        fails the certificate."""
+        if not self._certified:
+            raise ValueError("Hasse covers are found only on the closed-set lattice of a causal structure")
         masks, position, comp = self.masks, self._position, self.complement
-        rows, classes = self.structure.causality_masks, self._twin_classes
-        processes = range(len(rows))
-        if not masks:
-            raise ValueError("Hasse covers need a nonempty family")
-        # q in N_p gives p in N_q for p's whole twin class c
-        if not self._involutive or any(
-            rows[q] & c != c for row, c in classes.items() for q in compress(processes, _selectors(row))
-        ):
-            raise ValueError("Hasse covers need symmetric causality rows and a complement that is an involution")
         searched = [m.bit_count() >= masks[c].bit_count() for m, c in zip(masks, comp)]
         handed = [None] * len(masks)
-        handed[-1] = classes
+        handed[-1] = self.structure._twin_classes
         uppers = [[] for _ in masks]
         for b in reversed(range(len(masks))):
             candidates = handed[b]
@@ -282,13 +270,7 @@ class OrthoLattice:
             # the processes of ~y give y itself here, and z itself inside any z
             below.pop(y, None)
             for z, q in below.items():
-                try:
-                    a = position[z]
-                except KeyError:
-                    meet = format_members(self.structure.sorted_names_of(z))
-                    raise ValueError(
-                        f"the meet {meet} of {self._fmt(b)} and a neighborhood is not an element of this lattice"
-                    ) from None
+                a = position[z]
                 if masks[comp[a]] == outside | q:
                     uppers[a].append(b)
                     if searched[a] and handed[a] is None:
@@ -303,29 +285,30 @@ class OrthoLattice:
         return format_members(self.structure.sorted_names_of(self.masks[index]))
 
     @cached_property
-    def _meet_closed(self) -> bool:
-        """Whether every m & N_p is an element (so every ortho_mask is one), in
-        n*P' intersections over the distinct rows; ``enumerate_closed`` fills
-        this in for the family it closed, so only a hand-built lattice pays."""
-        return self._position.keys() >= {m & g for m in self.masks for g in self._twin_classes}
-
-    @cached_property
     def _certified(self) -> bool:
-        """Whether this is the closed-set family of its structure: the top is
-        full, the family is closed under meeting every neighborhood, and the
-        complement is an involution (so every element is closed).  A lattice
-        from ``enumerate_closed`` is closed by construction, so only its
-        complement is checked."""
-        return self.masks[-1:] == (self.structure.full_mask,) and self._meet_closed and self._involutive
+        """Whether this is the closed-set family of its structure, in canonical
+        order: the rows are orthogonal, the elements range from the empty to the
+        full set, every m & N_p is an element (so every ortho_mask is one; n*P'
+        intersections), and the complement is an involution (so every element
+        is closed).  Only a hand-built lattice pays: ``enumerate_closed`` fills
+        this in."""
+        cs, masks = self.structure, self.masks
+        return (
+            cs._orthogonal
+            and min(masks) == 0
+            and max(masks) == cs.full_mask
+            and self._position.keys() >= {m & g for m in masks for g in cs._twin_classes}
+            and all(self.complement[c] == i for i, c in enumerate(self.complement))
+            and masks == _canonical_order(masks, cs.size)
+        )
 
     def check_laws(self, law: str) -> LawCheck:
         """Decide one law over the whole lattice and scan only a failing one, for the
-        first failing tuple in lexicographic canonical-index order.  Every law but
-        orthomodularity is decided from the certificate (distributivity by the
-        atoms), and on a lattice that fails it raises ValueError."""
+        first failing tuple in lexicographic canonical-index order.  Every law
+        needs the certificate, else ValueError; see ``LAWS``."""
         if law not in LAWS:
             raise ValueError(f"unknown law {law!r}; expected one of {', '.join(LAWS)}")
-        if law != "orthomodularity" and not self._certified:
+        if not self._certified:
             raise ValueError(f"{law} is decided only on the closed-set lattice of a causal structure")
         failure = LAWS[law][1](self)
         if failure is None:
@@ -334,10 +317,11 @@ class OrthoLattice:
         return LawCheck(law, False, tuple([self.elements[i] for i in indices]), detail)
 
     def to_json_dict(self) -> dict:
+        hasse = [list(edge) for edge in self.hasse_edges()]
         return {
             "elements": [self.structure.sorted_names_of(m) for m in self.masks],
             "complement": list(self.complement),
-            "hasse": [list(edge) for edge in self.hasse_edges()],
+            "hasse": hasse,
         }
 
     def to_dot(self) -> str:
@@ -348,17 +332,6 @@ class OrthoLattice:
         nodes = "".join([f'  n{i} [label="{self._fmt(i)}"];\n' for i in range(len(self.masks))])
         edge_lines = "  n%d -> n%d;\n" * len(edges) % tuple(chain.from_iterable(edges))
         return f"digraph ortholattice {{\n  rankdir=BT;\n{nodes}{edge_lines}}}\n"
-
-
-def _scan_axioms(lat: OrthoLattice):
-    # certified: the top is full, the complement an involution and, as
-    # ortho_mask, antitone; a reflexive structure still fails a & ~a = 0,
-    # and where that holds, a | ~a = ~(~a & a) = ~0 is the top
-    masks, comp = lat.masks, lat.complement
-    for i in range(len(masks)):
-        if masks[i] & masks[comp[i]] != 0:
-            return (i,), f"a & ~a != {{}} at a = {lat._fmt(i)}"
-    return None
 
 
 def _boolean(lat: OrthoLattice) -> bool:
@@ -379,12 +352,11 @@ def _boolean(lat: OrthoLattice) -> bool:
 
 
 def _scan_distributivity(lat: OrthoLattice):
-    # a distributive ortholattice is Boolean; where the axioms fail (a
-    # reflexive structure built by hand) the scan alone decides.  It skips the
-    # triples where the law holds in any lattice: a and b comparable, c <= a,
-    # c <= b, or c >= a | b
+    # a distributive ortholattice is Boolean.  The scan skips the triples
+    # where the law holds in any lattice: a and b comparable, c <= a, c <= b,
+    # or c >= a | b
     masks = lat.masks
-    if _scan_axioms(lat) is None and _boolean(lat):
+    if _boolean(lat):
         return None
     for i, mi in enumerate(masks):
         for j, mj in enumerate(masks):
@@ -423,11 +395,11 @@ def _scan_orthomodularity(lat: OrthoLattice):
 # law name -> (Boolean identity templates, lattice check).  Template atoms are
 # metavariables instantiated with process names; a check returns the first
 # failing (element indices, detail) in canonical-index order, or None.  Every
-# check but orthomodularity's runs only on a certified lattice, where De Morgan
-# and antitone complements are theorems and distributivity is decided from the
-# atoms; orthomodularity is scanned over the comparable pairs.
+# check runs only on a certified lattice, where the axioms and De Morgan are
+# theorems and distributivity is decided from the atoms; orthomodularity is
+# scanned over the comparable pairs.
 LAWS = {
-    "ortholattice-axioms": ((("~~a", "a"), ("a & ~a", "0"), ("a | ~a", "1")), _scan_axioms),
+    "ortholattice-axioms": ((("~~a", "a"), ("a & ~a", "0"), ("a | ~a", "1")), lambda lat: None),
     "de-morgan": ((("~(a & b)", "~a | ~b"), ("~(a | b)", "~a & ~b")), lambda lat: None),
     "distributivity": ((("(a | b) & c", "(a & c) | (b & c)"),), _scan_distributivity),
     "orthomodularity": ((("a | (~a & (a | b))", "a | b"),), _scan_orthomodularity),

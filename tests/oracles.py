@@ -151,16 +151,31 @@ def canonical_key(mask):
     return (mask.bit_count(), tuple(bit_indices(mask)))
 
 
+def orthogonal(cs):
+    """Whether the structure has one causality row per process, irreflexive
+    and symmetric bit by bit, with no bit past the last process: the
+    reference for ``CausalStructure._orthogonal``."""
+    rows, n = cs.causality_masks, len(cs.names)
+    return len(rows) == n and all(
+        not rows[p] >> n and not rows[p] >> p & 1 and all(rows[p] >> q & 1 == rows[q] >> p & 1 for q in range(n))
+        for p in range(n)
+    )
+
+
 def certified(lat: OrthoLattice):
-    """The full three-part certificate of a family, member by member: its
-    last member is the full set, every member meets every causality row
-    inside the family, and the orthocomplement of every member, the AND of
-    its members' rows, is a member whose own orthocomplement is the member
-    again.  The reference for ``OrthoLattice._certified``, which trusts
-    ``enumerate_closed`` for the second part."""
+    """The full certificate of a family, member by member: its rows are
+    orthogonal, its members are subsets of the processes, strictly ascending
+    in canonical order, and the last is the full set, every member meets every causality row inside the
+    family, and the orthocomplement of every member, the AND of its members'
+    rows, is a member whose own orthocomplement is the member again.  The
+    reference for ``OrthoLattice._certified``, which trusts
+    ``enumerate_closed``."""
     cs, family = lat.structure, set(lat.masks)
     return (
-        lat.masks[-1:] == (cs.full_mask,)
+        orthogonal(cs)
+        and all(0 <= m <= cs.full_mask for m in family)
+        and all(canonical_key(a) < canonical_key(b) for a, b in zip(lat.masks, lat.masks[1:]))
+        and lat.masks[-1] == cs.full_mask
         and all(m & row in family for m in family for row in cs.causality_masks)
         and all(prime(cs, m) in family and prime(cs, prime(cs, m)) == m for m in family)
     )

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -10,7 +11,7 @@ from orthochron.causal_core import CausalStructure
 from orthochron.trace_model import Message, Site, Trace
 
 from conftest import random_trace
-from oracles import bit_indices, brute_happened_before
+from oracles import barrier_trace, bit_indices, brute_happened_before, orthogonal, twins_trace, untimed_trace
 
 FIG5_ORDER = {
     ("x1", "x2"), ("x1", "x3"), ("x2", "x3"),
@@ -150,6 +151,27 @@ def test_matches_fixpoint_closure_oracle(seed):
     assert _pairs(cs) == before
     causality = {(a, b) for a in cs.names for b in cs.names if cs.causally_related(a, b)}
     assert causality == before | {(b, a) for a, b in before}
+
+
+@hypothesis.settings(max_examples=60, deadline=None)
+@hypothesis.given(st.sampled_from(["timed", "untimed", "twins", "barrier"]), st.integers(0, 10**6))
+def test_happened_before_rows_are_orthogonal(kind, seed):
+    """happened_before fills in _orthogonal without checking it; a copy made
+    by dataclasses.replace checks its rows, and they are irreflexive and
+    symmetric."""
+    rng = random.Random(seed)
+    if kind == "twins":
+        trace = twins_trace(rng.randint(1, 6), rng.randint(0, 8))
+    elif kind == "barrier":
+        trace = barrier_trace(rng.randint(2, 5), rng.randint(1, 7))
+    else:
+        make = random_trace if kind == "timed" else untimed_trace
+        trace = make(seed, rng.randint(1, 4), rng.randint(1, 4), rng.randint(0, 8))
+    cs = happened_before(trace)
+    assert cs.__dict__["_orthogonal"] is True
+    copy = dataclasses.replace(cs)
+    assert "_orthogonal" not in copy.__dict__
+    assert copy._orthogonal is True and orthogonal(cs)
 
 
 @hypothesis.given(st.integers(min_value=1, max_value=10**9))

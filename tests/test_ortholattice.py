@@ -1,6 +1,5 @@
 import dataclasses
 import random
-import re
 import time
 
 import hypothesis
@@ -41,6 +40,7 @@ from oracles import (
     certified,
     generator_covers,
     next_closure,
+    orthogonal,
     twins_lattice,
     twins_trace,
     untimed_trace,
@@ -354,23 +354,26 @@ def test_hasse_edges_boolean_2048():
     assert edges == sorted(reference)
 
 
-def _symmetric(rows):
-    return all((rows[p] >> q & 1) == (rows[q] >> p & 1) for p in range(len(rows)) for q in range(len(rows)))
+@st.composite
+def orthogonal_rows(draw, n):
+    """n hand-built causality rows made irreflexive and symmetric: bit q of
+    row p is drawn once for each pair p < q."""
+    rows = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n))
+    return tuple(
+        sum(((rows[min(p, q)] >> max(p, q)) & 1) << q for q in range(n) if q != p) for p in range(n)
+    )
 
 
 @st.composite
 def cover_lattices(draw):
     """The lattice of a small timed (gen_random), untimed, twins or barrier
-    trace, or of hand-built causality rows, made symmetric or not: at most
-    128 elements, so that ``brute_covers`` runs."""
+    trace, or of hand-built irreflexive symmetric causality rows: at most 128
+    elements, so that ``brute_covers`` runs."""
     kind = draw(st.sampled_from(["timed", "untimed", "twins", "barrier", "rows"]))
     if kind == "rows":
         n = draw(st.integers(2, 5))
-        rows = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n))
-        if draw(st.booleans()):
-            rows = [row | sum((rows[q] >> p & 1) << q for q in range(n)) for p, row in enumerate(rows)]
         names = tuple(f"p{i}" for i in range(n))
-        return enumerate_closed(CausalStructure(names, (0,) * n, tuple(rows)))
+        return enumerate_closed(CausalStructure(names, (0,) * n, draw(orthogonal_rows(n))))
     if kind == "twins":
         trace = twins_trace(draw(st.integers(1, 6)), draw(st.integers(0, 8)))
     elif kind == "barrier":
@@ -390,12 +393,7 @@ def cover_lattices(draw):
 def test_mirrored_covers_are_brute_covers(lattice):
     """The covers searched over the upper half and mirrored through the
     complement are the per-generator search's, and each mirrored edge, whose
-    upper end b has |b| < |~b|, is a cover by comparing every triple.  Rows
-    that are not symmetric raise ValueError instead."""
-    if not _symmetric(lattice.structure.causality_masks):
-        with pytest.raises(ValueError, match="symmetric"):
-            lattice.hasse_edges()
-        return
+    upper end b has |b| < |~b|, is a cover by comparing every triple."""
     edges = lattice.hasse_edges()
     assert edges == generator_covers(lattice)
     masks, comp, elements = lattice.masks, lattice.complement, lattice.elements
@@ -405,27 +403,39 @@ def test_mirrored_covers_are_brute_covers(lattice):
     assert mirrored <= brute_covers(set(elements))
 
 
+NOT_CERTIFIED = "Hasse covers are found only on the closed-set lattice of a causal structure"
+
+
 def test_hasse_edges_need_an_involutive_complement(fig7_lattice):
-    """fig7 with the unclosed {p1, q1} added: every ortho_mask is an element,
-    but the complement is not an involution, so no cover is mirrored."""
+    """fig7 with the unclosed {p1, q1} added, in canonical order: the rows are
+    orthogonal, the top is full and every m & N_p is an element, but the
+    complement is not an involution, so no cover is mirrored."""
     cs = fig7_lattice.structure
-    unclosed = OrthoLattice(cs, fig7_lattice.masks[:-1] + (cs.mask_of({"p1", "q1"}), cs.full_mask))
-    unclosed.complement
-    for export in (unclosed.hasse_edges, unclosed.to_dot):
-        with pytest.raises(ValueError, match="involution"):
+    family = _canonical_order(fig7_lattice.masks + (cs.mask_of({"p1", "q1"}),), cs.size)
+    unclosed = OrthoLattice(cs, family)
+    assert set(family) >= {m & row for m in family for row in cs.causality_masks}
+    assert any(unclosed.complement[c] != i for i, c in enumerate(unclosed.complement))
+    assert not unclosed._certified and not certified(unclosed)
+    for export in (unclosed.hasse_edges, unclosed.to_dot, unclosed.to_json_dict):
+        with pytest.raises(ValueError, match=f"^{NOT_CERTIFIED}$"):
             export()
 
 
 def test_hasse_edges_need_symmetric_rows():
-    """c relates to a, but a not to c: the complement {}, {a}, {b, c}, {a, b, c}
-    is an involution and a & ~a = 0 holds, yet ~z is not the set of processes
-    whose rows hold z, so the complement test would drop the covers
-    {} < {b, c} and {a} < {a, b, c}; the exports raise instead."""
-    lattice = enumerate_closed(CausalStructure(("a", "b", "c"), (0, 0, 0), (0b110, 0b001, 0b111)))
-    assert lattice._involutive
+    """c relates to a, but a not to c: the family {}, {a}, {b, c}, {a, b, c}
+    has a complement that is an involution, yet ~z is not the set of
+    processes whose rows hold z, so the complement test would drop the covers
+    {} < {b, c} and {a} < {a, b, c}.  enumerate_closed refuses the rows, and
+    the family built by hand fails the certificate, so its exports raise."""
+    cs = CausalStructure(("a", "b", "c"), (0, 0, 0), (0b110, 0b001, 0b111))
+    with pytest.raises(ValueError, match="^closed sets are enumerated only over one irreflexive, symmetric"):
+        enumerate_closed(cs)
+    lattice = OrthoLattice(cs, (0, 0b001, 0b110, 0b111))
+    assert all(lattice.complement[c] == i for i, c in enumerate(lattice.complement))
     assert generator_covers(lattice) == [(0, 1), (0, 2), (1, 3), (2, 3)]
+    assert not lattice._certified and not certified(lattice)
     for export in (lattice.hasse_edges, lattice.to_dot, lattice.to_json_dict):
-        with pytest.raises(ValueError, match="symmetric"):
+        with pytest.raises(ValueError, match=f"^{NOT_CERTIFIED}$"):
             export()
 
 
@@ -590,93 +600,90 @@ def test_distributivity_reads_no_covers(monkeypatch):
 
 def test_distributivity_where_the_axioms_fail():
     """A reflexive structure built by hand, a related to itself: its closed
-    sets {}, {a}, {a, b} pass the certificate, but {a} & ~{a} = {a}, so the
-    scan alone decides distributivity."""
-    lattice = enumerate_closed(CausalStructure(("a", "b"), (0, 0), (0b01, 0b00)))
-    assert lattice._certified and certified(lattice)
-    assert not lattice.check_laws("ortholattice-axioms").holds
-    law = "distributivity"
-    assert lattice.check_laws(law) == _reference_check(lattice, law)
+    sets {}, {a}, {a, b} fail {a} & ~{a} = {}.  enumerate_closed refuses the
+    rows, and the family built by hand gets no verdict on any law."""
+    cs = CausalStructure(("a", "b"), (0, 0), (0b01, 0b00))
+    with pytest.raises(ValueError, match="^closed sets are enumerated only over one irreflexive, symmetric"):
+        enumerate_closed(cs)
+    lattice = OrthoLattice(cs, (0, 0b01, 0b11))
+    assert lattice.masks[1] & lattice.masks[lattice.complement[1]] == 0b01
+    assert not lattice._certified and not certified(lattice)
+    for law in LAWS:
+        with pytest.raises(ValueError, match=f"^{law} is decided only on the closed-set"):
+            lattice.check_laws(law)
 
 
 def test_check_laws_reject_uncertified_lattices(mo2_lattice, fig7_lattice):
     # fig7 with the unclosed {p1, q1} added: the complement is not an involution
     cs = fig7_lattice.structure
-    unclosed = OrthoLattice(cs, fig7_lattice.masks[:-1] + (cs.mask_of({"p1", "q1"}), cs.full_mask))
+    unclosed = OrthoLattice(cs, _canonical_order(fig7_lattice.masks + (cs.mask_of({"p1", "q1"}),), cs.size))
     # only the bottom and the top of mo2: not closed under meeting a neighbourhood
-    ends = OrthoLattice(mo2_lattice.structure, (0, mo2_lattice.structure.full_mask))
-    for lattice in (unclosed, ends):
-        assert not lattice._certified and not certified(lattice)
-        for law in ("ortholattice-axioms", "de-morgan", "distributivity"):
-            with pytest.raises(ValueError, match=f"^{law} is decided only on the closed-set"):
-                lattice.check_laws(law)
-        law = "orthomodularity"
-        assert lattice.check_laws(law) == _reference_check(lattice, law)
-    # mo2's bottom, {p1} and top: the orthocomplement of {p1} is missing
-    mo2 = mo2_lattice.structure
-    partial = OrthoLattice(mo2, (0, mo2.mask_of({"p1"}), mo2.full_mask))
-    assert not partial._certified and not certified(partial)
-    for law in LAWS:
-        message = "the orthocomplement of {p1} is not an element of this lattice"
-        if law != "orthomodularity":
-            message = f"{law} is decided only on the closed-set"
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
-            partial.check_laws(law)
-
-
-def test_hand_built_families_raise_value_errors(mo2_lattice):
-    """Only mo2's bottom and top: every complement is an element, but the top
-    meets a neighbourhood outside the family, and the exports name that meet.
-    An empty family fails the certificate and the cover search.  Neither
-    raises KeyError or IndexError."""
     mo2 = mo2_lattice.structure
     ends = OrthoLattice(mo2, (0, mo2.full_mask))
-    empty = OrthoLattice(mo2, ())
-    cases = (
-        (ends, "the meet {p2} of {p1, p2, q1, q2} and a neighborhood is not an element of this lattice"),
-        (empty, "Hasse covers need a nonempty family"),
+    # mo2's bottom, {p1} and top: the orthocomplement of {p1} is missing too
+    partial = OrthoLattice(mo2, (0, mo2.mask_of({"p1"}), mo2.full_mask))
+    for lattice in (unclosed, ends, partial):
+        assert not lattice._certified and not certified(lattice)
+        for law in LAWS:
+            with pytest.raises(ValueError, match=f"^{law} is decided only on the closed-set"):
+                lattice.check_laws(law)
+
+
+def test_hand_built_families_raise_value_errors(mo2_lattice, fig7_lattice):
+    """Only mo2's bottom and top: every complement is an element, but the top
+    meets a neighbourhood outside the family.  mo2's closed sets reversed, and
+    fig7's with all but the top shuffled, hold every closed set but not in
+    canonical order, which the cover search reads.  mo2's closed sets with a
+    set past its processes, or a negative mask, added.  All five fail the
+    certificate, so the exports and every law raise ValueError, and an empty
+    family raises it at construction; none raises KeyError or IndexError or
+    returns wrong covers."""
+    mo2, fig7 = mo2_lattice.structure, fig7_lattice.structure
+    body = list(fig7_lattice.masks[:-1])
+    random.Random(7).shuffle(body)
+    lattices = (
+        OrthoLattice(mo2, (0, mo2.full_mask)),
+        OrthoLattice(mo2, mo2_lattice.masks[::-1]),
+        OrthoLattice(fig7, (*body, fig7.full_mask)),
+        OrthoLattice(mo2, (*mo2_lattice.masks[:-1], 1 << 20, mo2.full_mask)),
+        OrthoLattice(mo2, (-1, *mo2_lattice.masks)),
     )
-    for lattice, message in cases:
+    for lattice in lattices:
+        assert not lattice._certified and not certified(lattice)
         for export in (lattice.hasse_edges, lattice.to_dot, lattice.to_json_dict):
-            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            with pytest.raises(ValueError, match=f"^{NOT_CERTIFIED}$"):
                 export()
-    assert not empty._certified and not certified(empty)
-    for law in LAWS:
-        if law == "orthomodularity":
-            assert empty.check_laws(law) == _reference_check(empty, law)
-            continue
-        with pytest.raises(ValueError, match=f"^{law} is decided only on the closed-set"):
-            empty.check_laws(law)
+        for law in LAWS:
+            with pytest.raises(ValueError, match=f"^{law} is decided only on the closed-set"):
+                lattice.check_laws(law)
+    with pytest.raises(ValueError, match="^an ortholattice needs a nonempty family$"):
+        OrthoLattice(mo2, ())
 
 
 def test_enumerated_lattices_are_closed_by_construction(fig7_lattice):
-    """enumerate_closed fills in the closure part of the certificate; a copy
-    made by dataclasses.replace is hand-built and pays the full check."""
+    """enumerate_closed fills in the certificate, and happened_before the
+    orthogonality it rests on; a copy made by dataclasses.replace is
+    hand-built and pays the full check."""
     lattice = enumerate_closed(fig7_lattice.structure)
-    assert lattice.__dict__["_meet_closed"] is True
-    assert "_certified" not in lattice.__dict__
+    assert lattice.__dict__["_certified"] is True
+    assert lattice.structure.__dict__["_orthogonal"] is True
     copy = dataclasses.replace(lattice)
-    assert "_meet_closed" not in copy.__dict__
-    assert copy._certified and copy.__dict__["_meet_closed"] is True
+    assert "_certified" not in copy.__dict__
+    assert copy._certified and copy.__dict__["_certified"] is True
     assert lattice._certified and certified(lattice)
 
 
 @st.composite
 def certificate_cases(draw):
     """The lattice of a small timed (gen_random), untimed, barrier or twins
-    trace, or of hand-built rows on 1-5 processes, made reflexive and made
-    symmetric on drawn coins; or, on a third coin, a hand-built family: that
-    lattice with up to three sets dropped and three arbitrary ones added, in
-    canonical order or shuffled."""
+    trace, or of hand-built irreflexive symmetric rows on 1-5 processes; or,
+    on a coin, a hand-built family: that lattice with up to three sets dropped
+    and three arbitrary ones added, if any set is left, in canonical order,
+    with all but the last shuffled, or all shuffled."""
     kind = draw(st.sampled_from(["timed", "untimed", "barrier", "twins", "rows"]))
     if kind == "rows":
         n = draw(st.integers(1, 5))
-        rows = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n))
-        if draw(st.booleans()):
-            rows = [row | 1 << p for p, row in enumerate(rows)]
-        if draw(st.booleans()):
-            rows = [row | sum((rows[q] >> p & 1) << q for q in range(n)) for p, row in enumerate(rows)]
-        cs = CausalStructure(tuple(f"p{i}" for i in range(n)), (0,) * n, tuple(rows))
+        cs = CausalStructure(tuple(f"p{i}" for i in range(n)), (0,) * n, draw(orthogonal_rows(n)))
     else:
         if kind == "twins":
             trace = twins_trace(draw(st.integers(1, 5)), draw(st.integers(0, 6)))
@@ -697,7 +704,12 @@ def certificate_cases(draw):
     dropped = draw(st.sets(st.sampled_from(sorted(closed)), max_size=3))
     added = draw(st.sets(st.integers(0, cs.full_mask), max_size=3))
     family = sorted((closed - dropped) | added, key=canonical_key)
-    if draw(st.booleans()):
+    # an empty family raises at construction
+    hypothesis.assume(family)
+    order = draw(st.sampled_from(["canonical", "body", "all"]))
+    if order == "body":
+        family = draw(st.permutations(family[:-1])) + family[-1:]
+    elif order == "all":
         family = draw(st.permutations(family))
     return OrthoLattice(cs, tuple(family))
 
@@ -705,10 +717,39 @@ def certificate_cases(draw):
 @hypothesis.settings(max_examples=150, deadline=None)
 @hypothesis.given(certificate_cases())
 def test_certificate_is_the_full_check(lattice):
-    """The certificate, which trusts enumerate_closed's closure, gives the
-    oracle's full three-part verdict on enumerated lattices and hand-built
-    families alike."""
+    """The certificate, which trusts enumerate_closed, gives the oracle's full
+    verdict on enumerated lattices and hand-built families alike."""
     assert lattice._certified == certified(lattice)
+
+
+@st.composite
+def hand_built_rows(draw):
+    """Rows on 1-5 processes, made symmetric, made irreflexive, given a bit
+    past the last process and cut short by one on drawn coins."""
+    n = draw(st.integers(1, 5))
+    rows = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        rows = [row | sum((rows[q] >> p & 1) << q for q in range(n)) for p, row in enumerate(rows)]
+    if draw(st.booleans()):
+        rows = [row & ~(1 << p) for p, row in enumerate(rows)]
+    if draw(st.integers(0, 3)) == 0:
+        rows[draw(st.integers(0, n - 1))] |= 1 << n
+    if draw(st.integers(0, 3)) == 0:
+        rows.pop()
+    return CausalStructure(tuple(f"p{i}" for i in range(n)), (0,) * n, tuple(rows))
+
+
+@hypothesis.settings(max_examples=150, deadline=None)
+@hypothesis.given(hand_built_rows())
+def test_enumerate_closed_refuses_rows_that_are_not_orthogonal(cs):
+    """The check over the distinct rows is the bit-by-bit one, and
+    enumerate_closed raises ValueError exactly where it fails."""
+    assert cs._orthogonal == orthogonal(cs)
+    if cs._orthogonal:
+        assert certified(enumerate_closed(cs))
+    else:
+        with pytest.raises(ValueError, match="^closed sets are enumerated only over one irreflexive, symmetric"):
+            enumerate_closed(cs)
 
 
 def test_law_decisions_scale():
@@ -757,11 +798,6 @@ def test_cap_guard(fig2):
     assert excinfo.value.count == len(lattice)
 
 
-# a related to everyone, itself included: its row is the full set, so the
-# seeds are the three distinct rows alone
-FULL_ROW = CausalStructure(("a", "b", "c"), (0, 0, 0), (0b111, 0b011, 0b101))
-
-
 @pytest.mark.parametrize(
     "trace",
     [
@@ -769,18 +805,17 @@ FULL_ROW = CausalStructure(("a", "b", "c"), (0, 0, 0), (0b111, 0b011, 0b101))
         *(random_trace(seed, 3, 3, seed) for seed in range(1, 5)),
         twins_trace(3, 4),
         barrier_trace(3, 4),
-        FULL_ROW,
     ],
-    ids=["fig2", *(f"random{seed}" for seed in range(1, 5)), "twins-3-4", "barrier-3-4", "full-row"],
+    ids=["fig2", *(f"random{seed}" for seed in range(1, 5)), "twins-3-4", "barrier-3-4"],
 )
 def test_cap_boundary_of_each_pass(trace):
     """Every cap: the count is the seed family's size when the seeds exceed
     the cap, else cap + 1, as if sets were added one at a time; at the
     family's size nothing is cut.  Twins and barrier rounds have fewer
-    distinct rows than processes (7 and 12 processes, 4 rows each), and in
-    the full-row structure the full set is a row; the family is
-    NextClosure's on every shape."""
-    cs = trace if isinstance(trace, CausalStructure) else happened_before(trace)
+    distinct rows than processes (7 and 12 processes, 4 rows each), so the
+    seeds are the distinct rows and the full set; the family is NextClosure's
+    on every shape."""
+    cs = happened_before(trace)
     masks = enumerate_closed(cs).masks
     assert masks == tuple(sorted(next_closure(cs), key=canonical_key))
     n = len(masks)
