@@ -216,9 +216,11 @@ def compare_laws(
     Runs exhaustively when the instantiation count is at most
     EXHAUSTIVE_LIMIT, otherwise samples ``trials`` assignments from
     ``random.Random(seed)``; the report says which happened.  Each side runs
-    once over all instantiations, one column per metavariable, and the first
-    instantiation where the sides differ is the counterexample.  Raises
-    ValueError when ``trials`` is below 1.
+    once over all instantiations, one column per metavariable: exhaustively,
+    each atom's value repeated and the block tiled in ``itertools.product``
+    order, so the counterexample, the first instantiation where the sides
+    differ, is decoded from its index.  Raises ValueError when ``trials`` is
+    below 1.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -227,24 +229,37 @@ def compare_laws(
     metavars = list(dict.fromkeys(token for token in lhs + rhs if token not in _SYMBOLS))
     atoms, value, algebra = _algebra(model)
     values = {atom: value(atom) for atom in atoms}
+    n, m = len(atoms), len(metavars)
 
-    total = len(atoms) ** len(metavars)
+    total = n**m
     exhaustive = total <= EXHAUSTIVE_LIMIT
+    columns = {}
     if exhaustive:
-        combos = list(itertools.product(atoms, repeat=len(metavars)))
+        # product order: metavariable k holds each atom for n**(m-1-k) runs,
+        # the whole block tiled n**k times
+        count = total
+        for k, var in enumerate(metavars):
+            run = n ** (m - 1 - k)
+            block = itertools.chain.from_iterable([itertools.repeat(v, run) for v in values.values()])
+            columns[var] = list(block) * n**k
     else:
         rng = random.Random(seed)
+        count = trials
         combos = [tuple([rng.choice(atoms) for _ in metavars]) for _ in range(trials)]
-    columns = {"0": [0] * len(combos), "1": [algebra[2]] * len(combos)}
-    for k, var in enumerate(metavars):
-        columns[var] = [values[combo[k]] for combo in combos]
+        for k, var in enumerate(metavars):
+            columns[var] = [values[combo[k]] for combo in combos]
+    columns["0"], columns["1"] = [0] * count, [algebra[2]] * count
     left = _run(lhs, columns, algebra)
     right = _run(rhs, columns, algebra)
 
     semantics = "boolean" if isinstance(model, TimeLine) else "ortho"
-    first = next((i for i, (a, b) in enumerate(zip(left, right)) if a != b), None)
-    if first is None:
-        return LawComparison(lhs_source, rhs_source, semantics, True, exhaustive, len(combos), total)
+    if left == right:
+        return LawComparison(lhs_source, rhs_source, semantics, True, exhaustive, count, total)
+    first = next(i for i, (a, b) in enumerate(zip(left, right)) if a != b)
+    if exhaustive:
+        combo = [atoms[first // n ** (m - 1 - k) % n] for k in range(m)]
+    else:
+        combo = combos[first]
     return LawComparison(
         lhs_source,
         rhs_source,
@@ -253,7 +268,7 @@ def compare_laws(
         exhaustive,
         first + 1,
         total,
-        dict(zip(metavars, combos[first])),
+        dict(zip(metavars, combo)),
         _decode(model, left[first]),
         _decode(model, right[first]),
     )

@@ -34,6 +34,10 @@ Elements are kept in canonical order: by cardinality, then lexicographically
 by sorted member ordinals.  Causality must be irreflexive and symmetric, so
 that the closed sets form an ortholattice (Birkhoff, *Lattice Theory*, 1967,
 on polarities); one certificate guards every law and the Hasse covers.
+The law scans read each element's orthocomplement as a mask, so a join
+is ~(~a & ~b) in masks; orthomodularity holds iff ~a & b != 0 on every
+cover a < b (Kalmbach, *Orthomodular Lattices*, 1983), which is read after
+a scan of the first rows, where failing lattices fail.
 """
 
 from __future__ import annotations
@@ -175,23 +179,35 @@ class OrthoLattice:
     @cached_property
     def complement(self) -> tuple[int, ...]:
         """For each element, the index of its orthocomplement; ValueError names
-        the first element whose orthocomplement is not an element.  A member's
-        row is ANDed once for its whole twin class."""
+        the first element that is not a set of processes, or else the first
+        whose orthocomplement is not an element.  A member's row is ANDed once
+        for its whole twin class."""
         cs, pos = self.structure, self._position
         rows, full, classes = cs.causality_masks, cs.full_mask, cs._twin_classes
         others = [~classes[row] for row in rows]
         indices = []
-        for rest in self.masks:
-            out = full
-            while rest:
-                p = (rest & -rest).bit_length() - 1
-                out &= rows[p]
-                rest &= others[p]
-            indices.append(pos.get(out))
+        try:
+            for rest in self.masks:
+                out = full
+                while rest:
+                    p = (rest & -rest).bit_length() - 1
+                    out &= rows[p]
+                    rest &= others[p]
+                indices.append(pos.get(out))
+        except IndexError:
+            # a bit past the last process, or a negative mask, reads past the rows
+            i = len(indices)
+            raise ValueError(f"element {i}, mask {self.masks[i]}, is not a set of this structure's processes") from None
         if None in indices:
             missing = self._fmt(indices.index(None))
             raise ValueError(f"the orthocomplement of {missing} is not an element of this lattice")
         return tuple(indices)
+
+    @cached_property
+    def _co(self) -> dict[int, int]:
+        """Each element's mask -> its orthocomplement's mask, read by the law scans."""
+        masks = self.masks
+        return dict(zip(masks, [masks[c] for c in self.complement]))
 
     @cached_property
     def elements(self) -> tuple[frozenset[str], ...]:
@@ -230,14 +246,22 @@ class OrthoLattice:
                 "is not a closed set of this lattice"
             ) from None
 
+    def _operands(self, *sets: Iterable[str]) -> list[int]:
+        """The indices of the sets, on a lattice that passes the certificate,
+        else ValueError."""
+        if not self._certified:
+            raise ValueError("meets, joins and complements are taken only on the closed-set lattice of a causal structure")
+        return [self.index_of(members) for members in sets]
+
     def complement_of(self, members: Iterable[str]) -> frozenset[str]:
-        return self.elements[self.complement[self.index_of(members)]]
+        [i] = self._operands(members)
+        return self.elements[self.complement[i]]
 
     def meet(self, a: Iterable[str], b: Iterable[str]) -> frozenset[str]:
-        return self.elements[self._meet_index(self.index_of(a), self.index_of(b))]
+        return self.elements[self._meet_index(*self._operands(a, b))]
 
     def join(self, a: Iterable[str], b: Iterable[str]) -> frozenset[str]:
-        return self.elements[self._join_index(self.index_of(a), self.index_of(b))]
+        return self.elements[self._join_index(*self._operands(a, b))]
 
     def _meet_index(self, i: int, j: int) -> int:
         return self._position[self.masks[i] & self.masks[j]]
@@ -314,7 +338,8 @@ class OrthoLattice:
         if failure is None:
             return LawCheck(law, True)
         indices, detail = failure
-        return LawCheck(law, False, tuple([self.elements[i] for i in indices]), detail)
+        names_of, masks = self.structure.names_of, self.masks
+        return LawCheck(law, False, tuple([names_of(masks[i]) for i in indices]), detail)
 
     def to_json_dict(self) -> dict:
         hasse = [list(edge) for edge in self.hasse_edges()]
@@ -351,53 +376,76 @@ def _boolean(lat: OrthoLattice) -> bool:
     )
 
 
+def _names(lat: OrthoLattice, mask: int) -> str:
+    return format_members(lat.structure.sorted_names_of(mask))
+
+
 def _scan_distributivity(lat: OrthoLattice):
     # a distributive ortholattice is Boolean.  The scan skips the triples
     # where the law holds in any lattice: a and b comparable, c <= a, c <= b,
-    # or c >= a | b
-    masks = lat.masks
+    # c >= a | b, or c & (a | b) = 0, and compares the sides' complements,
+    # ~((a | b) & c) and ~(a & c) & ~(b & c), as masks
     if _boolean(lat):
         return None
-    for i, mi in enumerate(masks):
-        for j, mj in enumerate(masks):
-            if mi & mj in (mi, mj):
+    masks, co = lat.masks, lat._co
+    for i, a in enumerate(masks):
+        for j, b in enumerate(masks):
+            if a & b in (a, b):
                 continue
-            join_mask = masks[lat._join_index(i, j)]
-            for k, mk in enumerate(masks):
-                if mk & mi == mk or mk & mj == mk or mk & join_mask == join_mask:
+            join = co[co[a] & co[b]]
+            for k, c in enumerate(masks):
+                lhs = join & c
+                if not lhs or lhs == join or c & a == c or c & b == c:
                     continue
-                lhs = join_mask & mk
-                rhs_index = lat._join_index(lat._meet_index(i, k), lat._meet_index(j, k))
-                if lhs != masks[rhs_index]:
-                    lhs_names = format_members(lat.structure.sorted_names_of(lhs))
+                rhs = co[a & c] & co[b & c]
+                if co[lhs] != rhs:
                     return (i, j, k), (
-                        f"(a | b) & c = {lhs_names} but "
-                        f"(a & c) | (b & c) = {lat._fmt(rhs_index)}"
+                        f"(a | b) & c = {_names(lat, lhs)} but "
+                        f"(a & c) | (b & c) = {_names(lat, co[rhs])}"
                     )
     return None
 
 
-def _scan_orthomodularity(lat: OrthoLattice):
-    masks, comp = lat.masks, lat.complement
-    for i, a in enumerate(masks):
-        for j, b in enumerate(masks):
-            if a & b != a:
-                continue
-            rhs = lat._join_index(i, lat._meet_index(comp[i], j))
-            if rhs != j:
+def _orthomodular_rows(lat: OrthoLattice, rows: range):
+    """The first pair a <= b, a in ``rows``, with a | (~a & b) != b, that is
+    ~a & ~(~a & b) != ~b; canonical order puts every b > a after a."""
+    masks, co = lat.masks, lat._co
+    for i in rows:
+        a = masks[i]
+        na = co[a]
+        for j in range(i + 1, len(masks)):
+            b = masks[j]
+            if a & b == a and na & co[na & b] != co[b]:
                 return (i, j), (
-                    f"a <= b but a | (~a & b) = {lat._fmt(rhs)} != b "
+                    f"a <= b but a | (~a & b) = {_names(lat, co[na & co[na & b]])} != b "
                     f"at a = {lat._fmt(i)}, b = {lat._fmt(j)}"
                 )
     return None
+
+
+def _scan_orthomodularity(lat: OrthoLattice):
+    # the first rows, about n*P' pairs, are scanned, where failing lattices
+    # fail; the rest is decided on the covers: an ortholattice is orthomodular
+    # iff ~a & b != 0 for every cover a < b (Kalmbach, *Orthomodular
+    # Lattices*, 1983), and scanned on only if some cover fails
+    n, masks, co = len(lat.masks), lat.masks, lat._co
+    budget, stop = n * len(lat.structure._twin_classes), 0
+    while stop < n and budget > 0:
+        budget -= n - stop
+        stop += 1
+    failure = _orthomodular_rows(lat, range(stop))
+    if failure or stop == n or all(co[masks[a]] & masks[b] for a, b in lat.hasse_edges()):
+        return failure
+    return _orthomodular_rows(lat, range(stop, n))
 
 
 # law name -> (Boolean identity templates, lattice check).  Template atoms are
 # metavariables instantiated with process names; a check returns the first
 # failing (element indices, detail) in canonical-index order, or None.  Every
 # check runs only on a certified lattice, where the axioms and De Morgan are
-# theorems and distributivity is decided from the atoms; orthomodularity is
-# scanned over the comparable pairs.
+# theorems, distributivity is decided from the atoms, and orthomodularity on
+# the Hasse covers after a scan of the first rows; the scans read masks
+# through ``_co``.
 LAWS = {
     "ortholattice-axioms": ((("~~a", "a"), ("a & ~a", "0"), ("a | ~a", "1")), lambda lat: None),
     "de-morgan": ((("~(a & b)", "~a | ~b"), ("~(a | b)", "~a & ~b")), lambda lat: None),

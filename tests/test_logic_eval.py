@@ -367,6 +367,11 @@ def _law_models(traces):
 
 TEMPLATES = [identity for law in LAWS for identity in LAWS[law][0]]
 CONSTANT_IDENTITIES = [("0", "~1"), ("a & 0", "0"), ("a | 1", "1")]
+# No metavariable: the one instantiation, where the sides differ, is the last.
+# The last instantiation sets every metavariable to the last atom, where each
+# side is one of 0, 1, x and ~x; no trace here has an atom that these tell
+# apart unless an earlier atom's instantiation differs first.
+LAST_DIFFERENCE = ("1", "0")
 
 
 def test_compare_laws_matches_substitution_reference_exhaustively(fig2, fig5, fig7, mo2):
@@ -375,11 +380,13 @@ def test_compare_laws_matches_substitution_reference_exhaustively(fig2, fig5, fi
     ]
     failures = 0
     for model in _law_models(traces):
-        for identity in TEMPLATES + CONSTANT_IDENTITIES:
+        for identity in TEMPLATES + CONSTANT_IDENTITIES + [LAST_DIFFERENCE]:
             result = compare_laws(model, identity)
             assert result.exhaustive
             assert result == oracles.compare_laws(model, identity), identity
             failures += not result.holds
+        last = compare_laws(model, LAST_DIFFERENCE)
+        assert (last.holds, last.checked, last.total, last.counterexample) == (False, 1, 1, {})
     assert failures > 0
 
 

@@ -592,10 +592,81 @@ def test_distributivity_reads_no_covers(monkeypatch):
         assert enumerate_closed(happened_before(trace)).check_laws("distributivity").holds
     lattice = enumerate_closed(happened_before(parse_trace(THREE_SITES)))
     assert len(lattice) == 16
-    assert lattice.check_laws("orthomodularity").holds
     result = lattice.check_laws("distributivity")
     assert not result.holds
     assert result == _reference_check(lattice, "distributivity")
+    monkeypatch.undo()
+    assert lattice.check_laws("orthomodularity").holds
+
+
+@hypothesis.settings(max_examples=60, deadline=None)
+@hypothesis.given(small_lattices())
+def test_orthomodularity_matches_reference_scan(lattice):
+    """The verdict and pair are the reference scan's, whether the scan of the
+    first rows, the covers or the resumed scan decides."""
+    law = "orthomodularity"
+    assert lattice.check_laws(law) == _reference_check(lattice, law)
+
+
+def _spy_on_covers(monkeypatch):
+    """The sizes of the lattices whose hasse_edges is called, in call order."""
+    calls = []
+    hasse_edges = OrthoLattice.hasse_edges
+
+    def spy(self):
+        calls.append(len(self))
+        return hasse_edges(self)
+
+    monkeypatch.setattr(OrthoLattice, "hasse_edges", spy)
+    return calls
+
+
+def test_orthomodularity_reads_covers_only_past_the_first_rows(monkeypatch, fig7):
+    calls = _spy_on_covers(monkeypatch)
+    # fig7 fails at its element 1, inside the rows scanned first
+    result = enumerate_closed(happened_before(fig7)).check_laws("orthomodularity")
+    assert result.counterexample == (frozenset({"p1"}), frozenset({"p1", "q1", "q2"}))
+    assert calls == []
+    # 11 barrier rounds: a Boolean algebra of 2,048 sets, decided on its covers
+    assert enumerate_closed(happened_before(barrier_trace(40, 11))).check_laws("orthomodularity").holds
+    assert calls == [2048]
+
+
+def _k8_beside_fig5_twins(fig5):
+    """a0 ... a7 pairwise related (K8), and beside them fig5's six processes,
+    each doubled into two twins related as in fig5; nothing is related across
+    the parts.  The closed sets are those of the two parts glued at the bottom
+    and the top: 2 + 254 + 12 = 268 elements over 14 distinct rows."""
+    k = 8
+    names = [f"a{i}" for i in range(k)] + [f"{p}{t}" for p in fig5.names for t in "ab"]
+    rows = [((1 << k) - 1) & ~(1 << i) for i in range(k)]
+    for row in fig5.causality_masks:
+        twins = sum(0b11 << (k + 2 * q) for q in range(fig5.size) if row >> q & 1)
+        rows += [twins, twins]
+    return CausalStructure(tuple(names), (0,) * len(names), tuple(rows))
+
+
+def test_orthomodularity_resumes_the_scan_where_a_cover_fails(monkeypatch, fig5):
+    """The K8 part is Boolean and comes first in canonical order, so the first
+    rows scanned hold; fig5's part fails on a cover, and the scan resumes for
+    the reference's first pair, past the 268 * 14 = 3,752 pairs scanned first."""
+    lattice = enumerate_closed(_k8_beside_fig5_twins(happened_before(fig5)))
+    assert (len(lattice), len(lattice.structure._twin_classes)) == (268, 14)
+    calls = _spy_on_covers(monkeypatch)
+    result = lattice.check_laws("orthomodularity")
+    assert calls == [268]
+    assert REFERENCE_SCANS["orthomodularity"](lattice)[0] == (37, 167)
+    assert result == _reference_check(lattice, "orthomodularity")
+    assert result.detail == (
+        "a <= b but a | (~a & b) = {x1a, x1b} != b at a = {x1a, x1b}, b = {x1a, x1b, y1a, y1b}"
+    )
+
+
+def test_failing_verdicts_name_only_their_elements(fig7):
+    lattice = enumerate_closed(happened_before(fig7))
+    for law in ("distributivity", "orthomodularity"):
+        assert not lattice.check_laws(law).holds
+    assert "elements" not in lattice.__dict__
 
 
 def test_distributivity_where_the_axioms_fail():
@@ -634,10 +705,13 @@ def test_hand_built_families_raise_value_errors(mo2_lattice, fig7_lattice):
     meets a neighbourhood outside the family.  mo2's closed sets reversed, and
     fig7's with all but the top shuffled, hold every closed set but not in
     canonical order, which the cover search reads.  mo2's closed sets with a
-    set past its processes, or a negative mask, added.  All five fail the
-    certificate, so the exports and every law raise ValueError, and an empty
-    family raises it at construction; none raises KeyError or IndexError or
-    returns wrong covers."""
+    set past its processes, or a negative mask, added.  mo2's bottom, {p1, p2},
+    {p2, q1} and top: not closed under meets.  All six fail the certificate,
+    so the exports, every law, meet, join and complement_of raise ValueError,
+    and an empty family raises it at construction; none raises KeyError or
+    IndexError or returns wrong covers or a wrong join.  The complement of a
+    family with a bit past the processes names the element instead of
+    reading past the rows."""
     mo2, fig7 = mo2_lattice.structure, fig7_lattice.structure
     body = list(fig7_lattice.masks[:-1])
     random.Random(7).shuffle(body)
@@ -647,6 +721,7 @@ def test_hand_built_families_raise_value_errors(mo2_lattice, fig7_lattice):
         OrthoLattice(fig7, (*body, fig7.full_mask)),
         OrthoLattice(mo2, (*mo2_lattice.masks[:-1], 1 << 20, mo2.full_mask)),
         OrthoLattice(mo2, (-1, *mo2_lattice.masks)),
+        OrthoLattice(mo2, (0, 0b0011, 0b0110, mo2.full_mask)),
     )
     for lattice in lattices:
         assert not lattice._certified and not certified(lattice)
@@ -656,6 +731,13 @@ def test_hand_built_families_raise_value_errors(mo2_lattice, fig7_lattice):
         for law in LAWS:
             with pytest.raises(ValueError, match=f"^{law} is decided only on the closed-set"):
                 lattice.check_laws(law)
+        a, b = lattice.elements[1], lattice.elements[-2]
+        for operation in (lambda: lattice.meet(a, b), lambda: lattice.join(a, b), lambda: lattice.complement_of(a)):
+            with pytest.raises(ValueError, match="^meets, joins and complements are taken only on the closed-set"):
+                operation()
+    for masks, index in (((0, 1 << 20, mo2.full_mask), 1), ((-1, 0, mo2.full_mask), 0)):
+        with pytest.raises(ValueError, match=f"^element {index}, mask {masks[index]}, is not a set of this structure's processes$"):
+            OrthoLattice(mo2, masks).complement
     with pytest.raises(ValueError, match="^an ortholattice needs a nonempty family$"):
         OrthoLattice(mo2, ())
 
